@@ -15,8 +15,15 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentSpec, build_problem, parse_config
-from .data import dirichlet_partition, DirichletSpec, load_csv, synth_gaussian_mixture, train_test_split
+from .config import (
+    ConfigError,
+    ExperimentSpec,
+    build_problem,
+    client_data,
+    parse_config,
+    read_dataset,
+)
+from .data import Dataset
 from .federation import ALGORITHMS, RoundRecord, load_checkpoint, run_experiment
 from .local import DivergenceError
 from .metrics import loss_surface_slice, write_surface
@@ -75,9 +82,11 @@ def read_records(path) -> list[RoundRecord]:
     return records
 
 
-def _run_one(spec: ExperimentSpec, algorithm: str, seed: int, out_dir: str) -> str:
+def _run_one(
+    spec: ExperimentSpec, algorithm: str, seed: int, out_dir: str, dataset: Dataset | None
+) -> str:
     run_spec = spec.for_run(algorithm, seed)
-    clients, eval_data, _ = build_problem(run_spec, seed)
+    clients, eval_data, _ = build_problem(run_spec, seed, dataset)
     ckpt = None
     if spec.checkpoint_every > 0:
         ckpt = os.path.join(out_dir, f"{algorithm}_seed{seed}.ckpt")
@@ -97,8 +106,9 @@ def cmd_run(args) -> int:
     spec = parse_config(args.config, args.set)
     spec = _apply_cli(spec, args)
     os.makedirs(spec.out_dir, exist_ok=True)
+    dataset = read_dataset(spec)
     for seed in spec.seeds:
-        path = _run_one(spec, spec.fed.algorithm, seed, spec.out_dir)
+        path = _run_one(spec, spec.fed.algorithm, seed, spec.out_dir, dataset)
         print(path)
     return EXIT_OK
 
@@ -120,11 +130,12 @@ def cmd_compare(args) -> int:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}")
     os.makedirs(spec.out_dir, exist_ok=True)
+    dataset = read_dataset(spec)
     table = []
     for algo in algos:
         per_seed = {m: [] for m in ("test_accuracy", "flatness_distance", "global_sharpness")}
         for seed in seeds:
-            path = _run_one(spec, algo, seed, spec.out_dir)
+            path = _run_one(spec, algo, seed, spec.out_dir, dataset)
             print(path)
             records = read_records(path)
             for m in per_seed:
@@ -179,12 +190,7 @@ def cmd_partition(args) -> int:
     if spec.model_kind == "quadratic":
         raise ConfigError("partition applies to dataset-backed experiments only")
     seed = spec.seeds[0]
-    if spec.data_kind == "csv":
-        ds = load_csv(spec.csv_path)
-    else:
-        ds = synth_gaussian_mixture(spec.classes, spec.dim, spec.n_samples, spec.spread, seed)
-    train, _ = train_test_split(ds, spec.test_fraction, seed)
-    shards = dirichlet_partition(train, DirichletSpec(spec.alpha, spec.fed.n_clients, seed))
+    train, _, shards = client_data(spec, seed)
     print(f"# {train.n} training samples, {train.classes} classes, alpha={spec.alpha}, seed={seed}")
     header = "client  total  " + "  ".join(f"c{k}" for k in range(train.classes))
     print(header)
@@ -197,8 +203,6 @@ def cmd_partition(args) -> int:
 def _apply_cli(spec: ExperimentSpec, args) -> ExperimentSpec:
     if getattr(args, "out", None):
         spec = replace(spec, out_dir=args.out)
-    if getattr(args, "threads", None):
-        spec = replace(spec, fed=replace(spec.fed, n_workers=args.threads))
     return spec
 
 
@@ -212,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
         sp.add_argument("--out", help="output directory (overrides run.out)")
-        sp.add_argument("--threads", type=int, help="worker threads per round")
 
     sp = sub.add_parser("run", help="execute the experiment for every seed")
     common(sp)

@@ -5,7 +5,7 @@ line, `#` starts a comment, unknown keys are rejected with their line
 number. `resolved_lines` round-trips the fully resolved configuration;
 its hash is stamped into every emitted file so results are
 self-describing. Keys that cannot change results (output directory,
-thread count, checkpoint cadence) stay out of the hash.
+checkpoint cadence) stay out of the hash.
 """
 
 import hashlib
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import (
+    Dataset,
     DirichletSpec,
     dirichlet_partition,
     load_csv,
@@ -24,11 +25,18 @@ from .federation import FedConfig, clients_from_partition, quadratic_clients
 from .models import Mlp1, Quadratic, SoftmaxLinear
 from .rng import rng_for
 
-__all__ = ["ConfigError", "ExperimentSpec", "parse_config", "build_problem"]
+__all__ = [
+    "ConfigError",
+    "ExperimentSpec",
+    "parse_config",
+    "read_dataset",
+    "client_data",
+    "build_problem",
+]
 
 MODEL_KINDS = ("mlp", "softmax", "quadratic")
 DATA_KINDS = ("synthetic", "csv")
-UNHASHED_KEYS = ("run.out", "run.threads", "run.checkpoint_every")
+UNHASHED_KEYS = ("run.out", "run.checkpoint_every")
 
 
 class ConfigError(ValueError):
@@ -193,7 +201,6 @@ _SCHEMA = {
     "run.seeds": ("seeds", _parse_seeds),
     "run.out": ("out_dir", str),
     "run.eval_every": ("fed.eval_every", _parse_int),
-    "run.threads": ("fed.n_workers", _parse_int),
     "run.checkpoint_every": ("checkpoint_every", _parse_int),
     "metrics.flatness": ("fed.track_flatness", _parse_bool),
     "metrics.sharpness": ("fed.track_sharpness", _parse_bool),
@@ -249,13 +256,40 @@ def parse_config(path, overrides: list[str] | None = None) -> ExperimentSpec:
     return spec
 
 
-def build_problem(spec: ExperimentSpec, seed: int):
+def read_dataset(spec: ExperimentSpec) -> Dataset | None:
+    """The dataset file a CSV-backed spec names, read once for all its runs.
+
+    Returns None when there is no file to share: the data is generated
+    per seed, or the model is a quadratic that needs no data.
+    """
+    if spec.model_kind == "quadratic" or spec.data_kind != "csv":
+        return None
+    return load_csv(spec.csv_path)
+
+
+def client_data(spec: ExperimentSpec, seed: int, dataset: Dataset | None = None):
+    """The (train, test, shards) of one seed's run.
+
+    Loads the CSV file or generates the Gaussian mixture, holds out the
+    test fraction and partitions the training part by the Dirichlet draw.
+    ``dataset`` is what ``read_dataset(spec)`` returned; passing it lets
+    every run of a command share one read of the file.
+    """
+    ds = dataset if dataset is not None else read_dataset(spec)
+    if ds is None:
+        ds = synth_gaussian_mixture(spec.classes, spec.dim, spec.n_samples, spec.spread, seed)
+    train, test = train_test_split(ds, spec.test_fraction, seed)
+    shards = dirichlet_partition(train, DirichletSpec(spec.alpha, spec.fed.n_clients, seed))
+    return train, test, shards
+
+
+def build_problem(spec: ExperimentSpec, seed: int, dataset: Dataset | None = None):
     """Materialize (clients, eval_data, model) for one seed.
 
-    Classification: generate or load the dataset, hold out the test
-    fraction, partition the training part by the Dirichlet draw, bind each
-    shard to a client. Quadratic: one client-specific objective each
-    (diagonal curvatures in [0.3, 1.5], unit-scale centers), no eval data.
+    Classification: the split and partition of ``client_data`` (which
+    ``dataset`` is passed on to), each shard bound to a client. Quadratic:
+    one client-specific objective each (diagonal curvatures in [0.3, 1.5],
+    unit-scale centers), no eval data.
     """
     fed = replace(spec.fed, seed=seed)
     if spec.model_kind == "quadratic":
@@ -269,15 +303,10 @@ def build_problem(spec: ExperimentSpec, seed: int):
             c.seed = seed
         return clients, None, ensemble[0]
 
-    if spec.data_kind == "csv":
-        ds = load_csv(spec.csv_path)
-    else:
-        ds = synth_gaussian_mixture(spec.classes, spec.dim, spec.n_samples, spec.spread, seed)
-    train, test = train_test_split(ds, spec.test_fraction, seed)
-    shards = dirichlet_partition(train, DirichletSpec(spec.alpha, fed.n_clients, seed))
+    train, test, shards = client_data(spec, seed, dataset)
     if spec.model_kind == "mlp":
-        model = Mlp1(ds.dim, spec.hidden, ds.classes)
+        model = Mlp1(train.dim, spec.hidden, train.classes)
     else:
-        model = SoftmaxLinear(ds.classes, ds.dim)
+        model = SoftmaxLinear(train.classes, train.dim)
     clients = clients_from_partition(model, train, shards, fed)
     return clients, test, model

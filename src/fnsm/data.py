@@ -7,6 +7,7 @@ alpha concentrates a class on few clients and large alpha approaches a
 uniform split.
 """
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,41 +178,56 @@ def load_csv(path) -> Dataset:
     """Parse a dataset file written in the save_csv format.
 
     Classes are inferred as 1 + max label. Every malformed input (missing
-    file, ragged row, non-numeric cell, bad label) raises
-    DatasetFormatError naming the offending line.
+    file, ragged row, non-numeric or non-finite cell, bad label) raises
+    DatasetFormatError naming the offending line. Lines may end in LF or
+    CRLF, and the last one needs no line break.
+
+    The file is streamed line by line into one flat float64 buffer that
+    becomes the feature matrix without a copy, so the whole text, its
+    lines and per-row lists are never held at once.
     """
+    feats = array("d")
+    labels = array("q")
+    width = None
     try:
-        with open(path) as f:
-            lines = f.read().splitlines()
+        # undecodable bytes become lone surrogates, which fail the numeric
+        # parse below and so are reported with their line
+        with open(path, errors="surrogateescape") as f:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    raise DatasetFormatError(f"{path}:{lineno}: blank line")
+                cells = line.split(",")
+                if width is None:
+                    width = len(cells)
+                    if width < 2:
+                        raise DatasetFormatError(f"{path}:{lineno}: need features and a label")
+                elif len(cells) != width:
+                    raise DatasetFormatError(
+                        f"{path}:{lineno}: expected {width} fields, got {len(cells)}"
+                    )
+                label = cells.pop()
+                try:
+                    feats.fromlist(list(map(float, cells)))
+                except ValueError:
+                    raise DatasetFormatError(f"{path}:{lineno}: non-numeric feature") from None
+                try:
+                    lab = int(label)
+                except ValueError:
+                    raise DatasetFormatError(f"{path}:{lineno}: label is not an integer") from None
+                if lab < 0:
+                    raise DatasetFormatError(f"{path}:{lineno}: negative label")
+                try:
+                    labels.append(lab)
+                except OverflowError:
+                    raise DatasetFormatError(f"{path}:{lineno}: label out of range") from None
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read file ({exc})") from exc
-    rows = []
-    labels = []
-    width = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            raise DatasetFormatError(f"{path}:{lineno}: blank line")
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-            if width < 2:
-                raise DatasetFormatError(f"{path}:{lineno}: need features and a label")
-        elif len(cells) != width:
-            raise DatasetFormatError(
-                f"{path}:{lineno}: expected {width} fields, got {len(cells)}"
-            )
-        try:
-            rows.append([float(c) for c in cells[:-1]])
-        except ValueError:
-            raise DatasetFormatError(f"{path}:{lineno}: non-numeric feature") from None
-        try:
-            lab = int(cells[-1])
-        except ValueError:
-            raise DatasetFormatError(f"{path}:{lineno}: label is not an integer") from None
-        if lab < 0:
-            raise DatasetFormatError(f"{path}:{lineno}: negative label")
-        labels.append(lab)
-    if not rows:
+    if width is None:
         raise DatasetFormatError(f"{path}: empty file")
-    labels = np.array(labels, dtype=np.int64)
-    return Dataset(np.array(rows), labels, classes=int(labels.max()) + 1)
+    features = np.frombuffer(feats, dtype=np.float64).reshape(len(labels), width - 1)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        # every line holds one row, so row i sits on line i + 1
+        raise DatasetFormatError(f"{path}:{bad[0] + 1}: non-finite feature")
+    labels = np.frombuffer(labels, dtype=np.int64)
+    return Dataset(features, labels, classes=int(labels.max()) + 1)

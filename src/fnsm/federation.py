@@ -1,9 +1,9 @@
 """Server loop: sampling, broadcast, aggregation, momentum, schedules.
 
 One coordinator drives rounds sequentially. Within a round the sampled
-clients are independent pure computations, so they may run on a thread
-pool; results are always reduced in ascending client-id order, which
-keeps every output bit-identical regardless of worker count.
+clients are independent pure computations, run one after another in
+ascending client-id order and reduced in that order, which keeps every
+output bit-identical for a given seed.
 
 Two server branches exist. Plain averaging adds the mean client
 displacement to the global model. The momentum branch folds the mean
@@ -18,7 +18,6 @@ fednsam use the momentum branch.
 
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,6 @@ class FedConfig:
     extrapolate: bool = True
     seed: int = 1
     eval_every: int = 10
-    n_workers: int = 1
     # metric switches; metric_rho is the probe radius of the sharpness
     # proxy, kept separate from rho so non-SAM algorithms report it too
     track_flatness: bool = True
@@ -95,8 +93,8 @@ class FedConfig:
             raise ValueError("need rho >= 0 and metric_rho > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.eval_every < 1 or self.n_workers < 1:
-            raise ValueError("eval_every and n_workers must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
 
 
 @dataclass
@@ -238,9 +236,9 @@ def run_experiment(
     """Drive T communication rounds and collect per-round metrics.
 
     Fully deterministic in cfg.seed: datasets, batches, sampling and
-    initialization all derive from it, so two runs (serial or threaded)
-    agree bit-exactly. Metrics are computed on rounds where
-    (round + 1) % eval_every == 0 and left as None elsewhere.
+    initialization all derive from it, so two runs agree bit-exactly.
+    Metrics are computed on rounds where (round + 1) % eval_every == 0
+    and left as None elsewhere.
     ``on_round(state)`` is invoked after every server update for callers
     that track custom per-round quantities.
 
@@ -262,71 +260,58 @@ def run_experiment(
         state = initial_state(cfg, model.dim)
         state.theta = np.asarray(theta0, dtype=np.float64).copy()
 
-    pool = ThreadPoolExecutor(cfg.n_workers) if cfg.n_workers > 1 else None
     records: list[RoundRecord] = []
-    try:
-        for t in range(state.round_index, cfg.rounds):
-            started = time.perf_counter()
-            sampled = sample_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
-            bs = BroadcastState(
-                theta=state.theta,
-                momentum=state.momentum,
-                last_delta=state.last_delta,
-                lr=state.lr,
-                local_steps=cfg.local_steps,
-                round_index=t,
-            )
-            eval_round = (t + 1) % cfg.eval_every == 0
-            extra = (
-                [i for i in range(cfg.n_clients) if i not in set(sampled)]
-                if eval_round and cfg.full_flatness and cfg.track_flatness
-                else []
-            )
-            results = _run_clients(rule, bs, clients, sampled, extra, pool)
+    for t in range(state.round_index, cfg.rounds):
+        started = time.perf_counter()
+        sampled = sample_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
+        bs = BroadcastState(
+            theta=state.theta,
+            momentum=state.momentum,
+            last_delta=state.last_delta,
+            lr=state.lr,
+            local_steps=cfg.local_steps,
+            round_index=t,
+        )
+        eval_round = (t + 1) % cfg.eval_every == 0
+        extra = (
+            [i for i in range(cfg.n_clients) if i not in set(sampled)]
+            if eval_round and cfg.full_flatness and cfg.track_flatness
+            else []
+        )
+        results = _run_clients(rule, bs, clients, sampled, extra)
 
-            deltas = [results[i].delta for i in sampled if results[i] is not None]
-            mean_delta = aggregate(deltas) if deltas else np.zeros_like(state.theta)
-            prev_theta, prev_momentum = state.theta, state.momentum
-            state = server_update(state, mean_delta, cfg)
+        deltas = [results[i].delta for i in sampled if results[i] is not None]
+        mean_delta = aggregate(deltas) if deltas else np.zeros_like(state.theta)
+        prev_theta, prev_momentum = state.theta, state.momentum
+        state = server_update(state, mean_delta, cfg)
 
-            rec = RoundRecord(round=t)
-            if eval_round:
-                # a run mid-divergence can overflow here; the divergence
-                # error itself is raised from the next local round
-                with np.errstate(over="ignore", invalid="ignore"):
-                    _fill_metrics(rec, cfg, clients, results, state, prev_theta, prev_momentum, eval_data)
-            if cfg.track_wall_time:
-                rec.wall_time_ms = (time.perf_counter() - started) * 1000.0
-            records.append(rec)
-            if on_round is not None:
-                on_round(state)
+        rec = RoundRecord(round=t)
+        if eval_round:
+            # a run mid-divergence can overflow here; the divergence
+            # error itself is raised from the next local round
+            with np.errstate(over="ignore", invalid="ignore"):
+                _fill_metrics(rec, cfg, clients, results, state, prev_theta, prev_momentum, eval_data)
+        if cfg.track_wall_time:
+            rec.wall_time_ms = (time.perf_counter() - started) * 1000.0
+        records.append(rec)
+        if on_round is not None:
+            on_round(state)
 
-            if checkpoint_path is not None and checkpoint_every > 0 and (
-                (t + 1) % checkpoint_every == 0 or t + 1 == cfg.rounds
-            ):
-                save_checkpoint(checkpoint_path, state)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        if checkpoint_path is not None and checkpoint_every > 0 and (
+            (t + 1) % checkpoint_every == 0 or t + 1 == cfg.rounds
+        ):
+            save_checkpoint(checkpoint_path, state)
     return records, state
 
 
-def _run_clients(rule, bs, clients, sampled, extra, pool) -> dict[int, LocalResult | None]:
+def _run_clients(rule, bs, clients, sampled, extra) -> dict[int, LocalResult | None]:
     """Local rounds for the sampled set plus metric-only extras.
 
     Extras never mutate client memory; they exist only so the dispersion
     metric can cover the whole population when asked to.
     """
     jobs = [(i, True) for i in sampled] + [(i, False) for i in extra]
-    if pool is None:
-        out = {i: local_round(rule, bs, clients[i], update_client_state=real) for i, real in jobs}
-    else:
-        futures = {
-            i: pool.submit(local_round, rule, bs, clients[i], update_client_state=real)
-            for i, real in jobs
-        }
-        out = {i: f.result() for i, f in futures.items()}
-    return out
+    return {i: local_round(rule, bs, clients[i], update_client_state=real) for i, real in jobs}
 
 
 def _fill_metrics(rec, cfg, clients, results, state, prev_theta, prev_momentum, eval_data):

@@ -22,7 +22,7 @@ round; sam recomputes its perturbation from each step's own gradient.
 Each client draws batches from a stream keyed by (seed, client, round):
 a fresh without-replacement shuffle per local epoch, short final batch
 kept. Keying the stream by round makes local_round a pure function of
-its arguments, so clients can run on any worker in any order.
+its arguments, so clients can run in any order.
 """
 
 from dataclasses import dataclass, field

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import fnsm.config
 from fnsm.cli import main, read_records
 from fnsm.config import ConfigError, build_problem, parse_config
+from fnsm.data import save_csv, synth_gaussian_mixture
 from fnsm.metrics import read_surface
 
 QUAD_CFG = """\
@@ -51,6 +53,14 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def csv_config(tmp_path):
+    """MIX_CFG reading a saved CSV of the same mixture instead of generating it."""
+    data = tmp_path / "mix.csv"
+    save_csv(synth_gaussian_mixture(3, 4, 120, 0.7, seed=7), data)
+    text = MIX_CFG.replace("data.kind = synthetic", f"data.kind = csv\ndata.csv_path = {data}")
+    return write(tmp_path, "csv.cfg", text)
+
+
 class TestParsing:
     def test_defaults_desk_scale(self, tmp_path):
         spec = parse_config(write(tmp_path, "min.cfg", "run.seeds = 1\n"))
@@ -81,10 +91,15 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(p, ["fed.rounds"])
 
+    def test_removed_threads_key_names_line(self, tmp_path):
+        p = write(tmp_path, "old.cfg", "fed.lr = 0.1\nrun.threads = 2\n")
+        with pytest.raises(ConfigError, match=r":2: unknown key 'run.threads'"):
+            parse_config(p)
+
     def test_hash_ignores_plumbing_keys(self, tmp_path):
         p = write(tmp_path, "q.cfg", QUAD_CFG)
         a = parse_config(p)
-        b = parse_config(p, ["run.threads=8", "run.out=elsewhere", "run.checkpoint_every=2"])
+        b = parse_config(p, ["run.out=elsewhere", "run.checkpoint_every=2"])
         c = parse_config(p, ["fed.lr=0.3"])
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
@@ -106,7 +121,7 @@ class TestCmdRun:
     def test_repeat_runs_byte_identical(self, tmp_path):
         p = write(tmp_path, "m.cfg", MIX_CFG)
         main(["run", "--config", p, "--out", str(tmp_path / "a")])
-        main(["run", "--config", p, "--out", str(tmp_path / "b"), "--threads", "4"])
+        main(["run", "--config", p, "--out", str(tmp_path / "b")])
         a = (tmp_path / "a" / "fednsam_seed7.csv").read_bytes()
         b = (tmp_path / "b" / "fednsam_seed7.csv").read_bytes()
         assert a == b
@@ -162,6 +177,24 @@ class TestCmdCompare:
         assert row[0] == "fedavg"
         assert row[1] == "" and row[2] == ""  # no accuracy for quadratics
         assert float(row[4]) == 0.0 and float(row[6]) == 0.0
+
+    def test_outputs_match_run_and_read_csv_once(self, tmp_path, monkeypatch):
+        p = csv_config(tmp_path)
+        loads = []
+        real_load = fnsm.config.load_csv
+        monkeypatch.setattr(fnsm.config, "load_csv", lambda path: loads.append(path) or real_load(path))
+        assert main(["compare", "--config", p, "--algos", "fedsam,fednsam",
+                     "--seeds", "1,2", "--out", str(tmp_path / "cmp")]) == 0
+        assert len(loads) == 1  # one read shared by all four runs
+        for algo in ("fedsam", "fednsam"):
+            out = tmp_path / f"run_{algo}"
+            assert main(["run", "--config", p, "--set", f"fed.algorithm={algo}",
+                         "--set", "run.seeds=1,2", "--out", str(out)]) == 0
+            for seed in (1, 2):
+                for ext in ("csv", "ckpt"):
+                    name = f"{algo}_seed{seed}.{ext}"
+                    assert (tmp_path / "cmp" / name).read_bytes() == (out / name).read_bytes(), name
+        assert len(loads) == 3  # and one per run command
 
     def test_unknown_algorithm_exits_2(self, tmp_path, capsys):
         p = write(tmp_path, "q.cfg", QUAD_CFG)
@@ -223,6 +256,12 @@ class TestCmdPartition:
         totals = [int(ln.split()[1]) for ln in lines[2:]]
         assert 0 in totals
         assert sum(totals) == 96
+
+    def test_csv_histograms_match_generated_data(self, tmp_path, capsys):
+        assert main(["partition", "--config", write(tmp_path, "m.cfg", MIX_CFG)]) == 0
+        generated = capsys.readouterr().out
+        assert main(["partition", "--config", csv_config(tmp_path)]) == 0
+        assert capsys.readouterr().out == generated
 
     def test_quadratic_config_rejected(self, tmp_path):
         p = write(tmp_path, "q.cfg", QUAD_CFG)

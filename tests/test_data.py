@@ -1,7 +1,12 @@
 """Dataset generation, Dirichlet partitioning, CSV round-trips."""
 
+import tracemalloc
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fnsm import (
     Dataset,
@@ -14,6 +19,34 @@ from fnsm import (
     save_csv,
     synth_gaussian_mixture,
     train_test_split,
+)
+
+
+@st.composite
+def datasets(draw):
+    """Small datasets over every finite float64, labels spanning >= 2 classes."""
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 8))
+    features = draw(
+        hnp.arrays(np.float64, (n, dim), elements=st.floats(allow_nan=False, allow_infinity=False))
+    )
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 12)))
+    labels[draw(st.integers(0, n - 1))] = draw(st.integers(1, 12))
+    return Dataset(features, labels, classes=int(labels.max()) + 1)
+
+
+# signed zeros, the smallest subnormal and normal, the largest finite
+# magnitudes, and exponents at both ends of the range
+SPECIAL_VALUES = Dataset(
+    np.array(
+        [
+            [0.0, -0.0, 5e-324, -5e-324],
+            [2.2250738585072014e-308, -2.225073858507201e-308, 1.7976931348623157e308, -1e308],
+            [1e-300, -1.5e-320, 0.1, -123456789.125],
+        ]
+    ),
+    np.array([0, 2, 1]),
+    classes=3,
 )
 
 
@@ -152,6 +185,55 @@ class TestCsv:
         assert np.array_equal(ds.labels, back.labels)
         assert back.classes == ds.classes
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ds=datasets())
+    @example(ds=SPECIAL_VALUES)
+    def test_roundtrip_byte_identical_property(self, tmp_path, ds):
+        p = tmp_path / "prop.csv"
+        save_csv(ds, p)
+        back = load_csv(p)
+        assert back.features.shape == ds.features.shape
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        assert back.classes == ds.classes
+
+    def test_crlf_and_missing_final_newline_parse_alike(self, tmp_path):
+        ds = synth_gaussian_mixture(3, 4, 25, 0.9, seed=5)
+        lf = tmp_path / "lf.csv"
+        save_csv(ds, lf)
+        text = lf.read_bytes()
+        variants = {
+            "crlf.csv": text.replace(b"\n", b"\r\n"),
+            "open.csv": text[:-1],
+            "crlf_open.csv": text.replace(b"\n", b"\r\n")[:-2],
+        }
+        for name, content in variants.items():
+            p = tmp_path / name
+            p.write_bytes(content)
+            back = load_csv(p)
+            assert back.features.tobytes() == ds.features.tobytes(), name
+            assert back.labels.tobytes() == ds.labels.tobytes(), name
+
+    def test_undecodable_bytes_name_the_line(self, tmp_path):
+        p = tmp_path / "binary.csv"
+        p.write_bytes(b"0.0,1.0,0\n0.\xff,1.0,1\n")
+        with pytest.raises(DatasetFormatError, match=r":2: non-numeric"):
+            load_csv(p)
+
+    def test_peak_memory_within_three_times_features(self, tmp_path):
+        ds = synth_gaussian_mixture(10, 20, 4000, 1.0, seed=11)
+        p = tmp_path / "big.csv"
+        save_csv(ds, p)
+        tracemalloc.start()
+        try:
+            back = load_csv(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert peak <= 3 * back.features.nbytes, peak / back.features.nbytes
+
     @pytest.mark.parametrize(
         "content,fragment",
         [
@@ -159,6 +241,10 @@ class TestCsv:
             ("0.0,x,0\n", "non-numeric"),
             ("0.0,1.0,1.5\n", "label"),
             ("0.0,1.0,-1\n", "negative"),
+            ("0.0,1.0,0\n1.0,0.0,1\n\n1.0,1.0,1\n", ":3: blank line"),
+            ("0.0,1.0,0\n1.0,0.0,99999999999999999999\n", ":2: label out of range"),
+            ("0.0,1.0,0\n1.0,inf,1\n", ":2: non-finite"),
+            ("0.0,1.0,0\n1.0,0.0,1\nnan,0.0,1\n", ":3: non-finite"),
         ],
     )
     def test_parse_errors_name_the_line(self, tmp_path, content, fragment):
