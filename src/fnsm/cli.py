@@ -3,14 +3,18 @@
 Subcommands: run (execute an experiment file, one CSV per seed),
 compare (sweep algorithms x seeds and summarize the final window),
 surface (slice the loss around a checkpointed model), partition
-(print per-client class histograms). Exit codes: 0 ok, 2 config or
-validation problem, 3 numerical divergence.
+(print per-client class histograms).
+
+Exit codes: 0 ok; 2 for bad input, that is a ConfigError (experiment
+file, override, flag or checkpoint file), a DatasetFormatError (dataset
+file), an OSError (a file that cannot be read or written) or a command
+line argparse rejects; 3 for a DivergenceError (training went
+non-finite). Any other exception is a bug and keeps its traceback.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +27,7 @@ from .config import (
     parse_config,
     read_dataset,
 )
-from .data import Dataset
+from .data import Dataset, DatasetFormatError
 from .federation import ALGORITHMS, RoundRecord, load_checkpoint, run_experiment
 from .local import DivergenceError
 from .metrics import loss_surface_slice, write_surface
@@ -102,9 +106,16 @@ def _run_one(
     return path
 
 
+def _parse(args) -> ExperimentSpec:
+    """The experiment file with --set, then --out and --seeds, as overrides."""
+    flags = [f"run.out={args.out}"] if args.out else []
+    if getattr(args, "seeds", None):
+        flags.append(f"run.seeds={args.seeds}")
+    return parse_config(args.config, args.set + flags)
+
+
 def cmd_run(args) -> int:
-    spec = parse_config(args.config, args.set)
-    spec = _apply_cli(spec, args)
+    spec = _parse(args)
     os.makedirs(spec.out_dir, exist_ok=True)
     dataset = read_dataset(spec)
     for seed in spec.seeds:
@@ -122,10 +133,8 @@ def final_window_mean(records: list[RoundRecord], metric: str, window: int = 20)
 
 
 def cmd_compare(args) -> int:
-    spec = parse_config(args.config, args.set)
-    spec = _apply_cli(spec, args)
+    spec = _parse(args)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(spec.seeds)
     for a in algos:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}")
@@ -134,7 +143,7 @@ def cmd_compare(args) -> int:
     table = []
     for algo in algos:
         per_seed = {m: [] for m in ("test_accuracy", "flatness_distance", "global_sharpness")}
-        for seed in seeds:
+        for seed in spec.seeds:
             path = _run_one(spec, algo, seed, spec.out_dir, dataset)
             print(path)
             records = read_records(path)
@@ -163,8 +172,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    spec = parse_config(args.config, args.set)
-    spec = _apply_cli(spec, args)
+    spec = _parse(args)
     if args.res < 3 or args.res % 2 == 0:
         raise ConfigError("--res must be odd and >= 3")
     if args.range <= 0:
@@ -172,7 +180,10 @@ def cmd_surface(args) -> int:
     seed = spec.seeds[0]
     run_spec = spec.for_run(spec.fed.algorithm, seed)
     clients, _, model = build_problem(run_spec, seed)
-    state = load_checkpoint(args.ckpt, run_spec.fed)
+    try:
+        state = load_checkpoint(args.ckpt, run_spec.fed)
+    except ValueError as exc:  # load_checkpoint raises it only for a malformed file
+        raise ConfigError(f"--ckpt {exc}") from exc
     if state.theta.shape[0] != model.dim:
         raise ConfigError(
             f"checkpoint dimension {state.theta.shape[0]} does not match model dimension {model.dim}"
@@ -186,7 +197,7 @@ def cmd_surface(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    spec = parse_config(args.config, args.set)
+    spec = _parse(args)
     if spec.model_kind == "quadratic":
         raise ConfigError("partition applies to dataset-backed experiments only")
     seed = spec.seeds[0]
@@ -198,12 +209,6 @@ def cmd_partition(args) -> int:
         counts = np.bincount(train.labels[idx], minlength=train.classes)
         print(f"{i:6d}  {len(idx):5d}  " + "  ".join(f"{c:>{len(f'c{k}')}d}" for k, c in enumerate(counts)))
     return EXIT_OK
-
-
-def _apply_cli(spec: ExperimentSpec, args) -> ExperimentSpec:
-    if getattr(args, "out", None):
-        spec = replace(spec, out_dir=args.out)
-    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +249,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

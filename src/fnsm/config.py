@@ -5,7 +5,11 @@ line, `#` starts a comment, unknown keys are rejected with their line
 number. `resolved_lines` round-trips the fully resolved configuration;
 its hash is stamped into every emitted file so results are
 self-describing. Keys that cannot change results (output directory,
-checkpoint cadence) stay out of the hash.
+checkpoint cadence) stay out of the dump and the hash.
+
+`_KEYS` is the one place to add a key: it names the attribute the key
+sets and marks whether the key is hashed. Parsing, the canonical dump,
+the hash and the command-line flags all read it.
 """
 
 import hashlib
@@ -36,7 +40,6 @@ __all__ = [
 
 MODEL_KINDS = ("mlp", "softmax", "quadratic")
 DATA_KINDS = ("synthetic", "csv")
-UNHASHED_KEYS = ("run.out", "run.checkpoint_every")
 
 
 class ConfigError(ValueError):
@@ -90,41 +93,12 @@ class ExperimentSpec:
             raise ConfigError("run.checkpoint_every must be >= 0")
 
     def resolved_lines(self) -> list[str]:
-        """Canonical `key = value` dump of every setting, sorted by key."""
-        f = self.fed
-        items = {
-            "data.kind": self.data_kind,
-            "data.classes": self.classes,
-            "data.dim": self.dim,
-            "data.n": self.n_samples,
-            "data.spread": self.spread,
-            "data.csv_path": self.csv_path,
-            "data.alpha": self.alpha,
-            "data.test_fraction": self.test_fraction,
-            "model.kind": self.model_kind,
-            "model.hidden": self.hidden,
-            "model.quad_dim": self.quad_dim,
-            "fed.algorithm": f.algorithm,
-            "fed.n_clients": f.n_clients,
-            "fed.participation": f.participation,
-            "fed.rounds": f.rounds,
-            "fed.local_steps": f.local_steps,
-            "fed.batch_size": f.batch_size,
-            "fed.lr": f.lr0,
-            "fed.lr_decay": f.lr_decay,
-            "fed.rho": f.rho,
-            "fed.momentum": f.momentum,
-            "fed.extrapolate": f.extrapolate,
-            "run.seeds": ",".join(str(s) for s in self.seeds),
-            "run.eval_every": f.eval_every,
-            "metrics.flatness": f.track_flatness,
-            "metrics.sharpness": f.track_sharpness,
-            "metrics.grad_norm": f.track_grad_norm,
-            "metrics.full_flatness": f.full_flatness,
-            "metrics.rho": f.metric_rho,
-            "metrics.wall_time": f.track_wall_time,
-        }
-        return [f"{k} = {_fmt(v)}" for k, v in sorted(items.items())]
+        """Canonical `key = value` dump of every hashed setting, sorted by key."""
+        return [
+            f"{key} = {_fmt(_get(self, attr))}"
+            for key, (attr, hashed) in sorted(_KEYS.items())
+            if hashed
+        ]
 
     def config_hash(self) -> str:
         text = "\n".join(self.resolved_lines()) + "\n"
@@ -137,89 +111,94 @@ class ExperimentSpec:
         )
 
 
+# key -> (attribute, hashed); "fed.x" names FedConfig.x. The key is read
+# by the type of the attribute's default; mark it unhashed only when it
+# cannot change any result.
+_KEYS = {
+    "data.kind": ("data_kind", True),
+    "data.classes": ("classes", True),
+    "data.dim": ("dim", True),
+    "data.n": ("n_samples", True),
+    "data.spread": ("spread", True),
+    "data.csv_path": ("csv_path", True),
+    "data.alpha": ("alpha", True),
+    "data.test_fraction": ("test_fraction", True),
+    "model.kind": ("model_kind", True),
+    "model.hidden": ("hidden", True),
+    "model.quad_dim": ("quad_dim", True),
+    "fed.algorithm": ("fed.algorithm", True),
+    "fed.n_clients": ("fed.n_clients", True),
+    "fed.participation": ("fed.participation", True),
+    "fed.rounds": ("fed.rounds", True),
+    "fed.local_steps": ("fed.local_steps", True),
+    "fed.batch_size": ("fed.batch_size", True),
+    "fed.lr": ("fed.lr0", True),
+    "fed.lr_decay": ("fed.lr_decay", True),
+    "fed.rho": ("fed.rho", True),
+    "fed.momentum": ("fed.momentum", True),
+    "fed.extrapolate": ("fed.extrapolate", True),
+    "run.seeds": ("seeds", True),
+    "run.out": ("out_dir", False),
+    "run.eval_every": ("fed.eval_every", True),
+    "run.checkpoint_every": ("checkpoint_every", False),
+    "metrics.flatness": ("fed.track_flatness", True),
+    "metrics.sharpness": ("fed.track_sharpness", True),
+    "metrics.grad_norm": ("fed.track_grad_norm", True),
+    "metrics.full_flatness": ("fed.full_flatness", True),
+    "metrics.rho": ("fed.metric_rho", True),
+    "metrics.wall_time": ("fed.track_wall_time", True),
+}
+
+
+def _get(spec: ExperimentSpec, attr: str):
+    owner, _, name = attr.rpartition(".")
+    return getattr(spec.fed if owner else spec, name)
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, tuple):
+        return ",".join(str(s) for s in v)
     return str(v)
 
 
-def _parse_bool(raw: str, where: str) -> bool:
+def _read_bool(raw: str) -> bool:
     if raw.lower() in ("true", "1", "yes", "on"):
         return True
     if raw.lower() in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
+def _read_seeds(raw: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in raw.split(",") if s.strip())
 
 
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
-
-
-def _parse_seeds(raw: str, where: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in raw.split(",") if s.strip())
-    except ValueError:
-        raise ConfigError(f"{where}: expected comma-separated integers, got {raw!r}") from None
-
-
-# key -> (target attribute path, parser); attribute "fed.x" lands on FedConfig
-_SCHEMA = {
-    "data.kind": ("data_kind", str),
-    "data.classes": ("classes", _parse_int),
-    "data.dim": ("dim", _parse_int),
-    "data.n": ("n_samples", _parse_int),
-    "data.spread": ("spread", _parse_float),
-    "data.csv_path": ("csv_path", str),
-    "data.alpha": ("alpha", _parse_float),
-    "data.test_fraction": ("test_fraction", _parse_float),
-    "model.kind": ("model_kind", str),
-    "model.hidden": ("hidden", _parse_int),
-    "model.quad_dim": ("quad_dim", _parse_int),
-    "fed.algorithm": ("fed.algorithm", str),
-    "fed.n_clients": ("fed.n_clients", _parse_int),
-    "fed.participation": ("fed.participation", _parse_int),
-    "fed.rounds": ("fed.rounds", _parse_int),
-    "fed.local_steps": ("fed.local_steps", _parse_int),
-    "fed.batch_size": ("fed.batch_size", _parse_int),
-    "fed.lr": ("fed.lr0", _parse_float),
-    "fed.lr_decay": ("fed.lr_decay", _parse_float),
-    "fed.rho": ("fed.rho", _parse_float),
-    "fed.momentum": ("fed.momentum", _parse_float),
-    "fed.extrapolate": ("fed.extrapolate", _parse_bool),
-    "run.seeds": ("seeds", _parse_seeds),
-    "run.out": ("out_dir", str),
-    "run.eval_every": ("fed.eval_every", _parse_int),
-    "run.checkpoint_every": ("checkpoint_every", _parse_int),
-    "metrics.flatness": ("fed.track_flatness", _parse_bool),
-    "metrics.sharpness": ("fed.track_sharpness", _parse_bool),
-    "metrics.grad_norm": ("fed.track_grad_norm", _parse_bool),
-    "metrics.full_flatness": ("fed.full_flatness", _parse_bool),
-    "metrics.rho": ("fed.metric_rho", _parse_float),
-    "metrics.wall_time": ("fed.track_wall_time", _parse_bool),
+# type of a key's default -> (reader, what a value the reader rejects should be)
+_READERS = {
+    bool: (_read_bool, "a boolean"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, "text"),
+    tuple: (_read_seeds, "comma-separated integers"),
 }
+_DEFAULTS = ExperimentSpec()
 
 
 def _assign(spec_kw: dict, fed_kw: dict, key: str, raw: str, where: str) -> None:
-    if key not in _SCHEMA:
+    if key not in _KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    target, parser = _SCHEMA[key]
-    value = parser(raw, where) if parser is not str else raw
-    if target.startswith("fed."):
-        fed_kw[target[4:]] = value
-    else:
-        spec_kw[target] = value
+    attr, _ = _KEYS[key]
+    read, expected = _READERS[type(_get(_DEFAULTS, attr))]
+    try:
+        value = read(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from None
+    owner, _, name = attr.rpartition(".")
+    (fed_kw if owner else spec_kw)[name] = value
 
 
 def parse_config(path, overrides: list[str] | None = None) -> ExperimentSpec:
@@ -277,8 +256,16 @@ def client_data(spec: ExperimentSpec, seed: int, dataset: Dataset | None = None)
     """
     ds = dataset if dataset is not None else read_dataset(spec)
     if ds is None:
-        ds = synth_gaussian_mixture(spec.classes, spec.dim, spec.n_samples, spec.spread, seed)
-    train, test = train_test_split(ds, spec.test_fraction, seed)
+        try:
+            ds = synth_gaussian_mixture(spec.classes, spec.dim, spec.n_samples, spec.spread, seed)
+        except ValueError as exc:  # validate() has passed, so spread is to blame: nan or huge
+            raise ConfigError(f"data.spread = {spec.spread!r}: {exc}") from exc
+    try:
+        train, test = train_test_split(ds, spec.test_fraction, seed)
+    except ValueError as exc:
+        raise ConfigError(
+            f"data.test_fraction = {spec.test_fraction!r}: {exc} of {ds.n} samples"
+        ) from exc
     shards = dirichlet_partition(train, DirichletSpec(spec.alpha, spec.fed.n_clients, seed))
     return train, test, shards
 

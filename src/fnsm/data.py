@@ -179,7 +179,8 @@ def load_csv(path) -> Dataset:
 
     Classes are inferred as 1 + max label. Every malformed input (missing
     file, ragged row, non-numeric or non-finite cell, bad label) raises
-    DatasetFormatError naming the offending line. Lines may end in LF or
+    DatasetFormatError naming the offending line; a file whose labels
+    are all 0 raises it naming the file. Lines may end in LF or
     CRLF, and the last one needs no line break.
 
     The file is streamed line by line into one flat float64 buffer that
@@ -230,4 +231,6 @@ def load_csv(path) -> Dataset:
         # every line holds one row, so row i sits on line i + 1
         raise DatasetFormatError(f"{path}:{bad[0] + 1}: non-finite feature")
     labels = np.frombuffer(labels, dtype=np.int64)
+    if labels.max() == 0:
+        raise DatasetFormatError(f"{path}: every label is 0, so there is a single class")
     return Dataset(features, labels, classes=int(labels.max()) + 1)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .local import BroadcastState, ClientState, LocalResult, LocalRule, local_round
-from .metrics import extrapolated_grad_norm, flatness_distance, global_sharpness
+from .metrics import extrapolated_grad_norm, flatness_distance, global_sharpness, population_loss
 from .models import accuracy
 from .rng import rng_for
 
@@ -47,8 +47,17 @@ __all__ = [
     "CHECKPOINT_MAGIC",
 ]
 
-ALGORITHMS = ("fedavg", "fedavgm", "fedsam", "mofedsam", "fedlesam", "fednsam")
-MOMENTUM_SERVER = frozenset({"fedavgm", "mofedsam", "fednsam"})
+# algorithm -> (local rule kind, whether the server takes the momentum branch)
+_ALGORITHM_PARTS = {
+    "fedavg": ("sgd", False),
+    "fedavgm": ("sgd", True),
+    "fedsam": ("sam", False),
+    "mofedsam": ("mosam", True),
+    "fedlesam": ("lesam", False),
+    "fednsam": ("nsam", True),
+}
+ALGORITHMS = tuple(_ALGORITHM_PARTS)
+MOMENTUM_SERVER = frozenset(a for a, (_, server) in _ALGORITHM_PARTS.items() if server)
 
 CHECKPOINT_MAGIC = b"FNSM"
 CHECKPOINT_VERSION = 1
@@ -120,15 +129,9 @@ class RoundRecord:
 
 
 def local_rule_for(cfg: FedConfig) -> LocalRule:
-    if cfg.algorithm in ("fedavg", "fedavgm"):
-        return LocalRule.sgd()
-    if cfg.algorithm == "fedsam":
-        return LocalRule.sam(cfg.rho)
-    if cfg.algorithm == "mofedsam":
-        return LocalRule.mosam(cfg.rho, cfg.momentum)
-    if cfg.algorithm == "fedlesam":
-        return LocalRule.lesam(cfg.rho)
-    return LocalRule.nsam(cfg.rho, cfg.momentum, cfg.extrapolate)
+    """The algorithm's local rule; each rule kind reads only the knobs it uses."""
+    kind, _ = _ALGORITHM_PARTS[cfg.algorithm]
+    return LocalRule(kind, rho=cfg.rho, momentum=cfg.momentum, extrapolate=cfg.extrapolate)
 
 
 def sample_clients(n_clients: int, participation: int, round_index: int, seed: int) -> list[int]:
@@ -212,15 +215,6 @@ def clients_from_partition(
 def quadratic_clients(ensemble) -> list[ClientState]:
     """Data-free clients, one per quadratic objective."""
     return [ClientState(client_id=i, model=q) for i, q in enumerate(ensemble)]
-
-
-def _effective_momentum(cfg: FedConfig) -> float:
-    return cfg.momentum if cfg.algorithm in MOMENTUM_SERVER else 0.0
-
-
-def _population_loss(clients: list[ClientState], theta: np.ndarray) -> float | None:
-    losses = [c.full_loss(theta) for c in clients if c.evaluable]
-    return float(np.mean(losses)) if losses else None
 
 
 def run_experiment(
@@ -315,7 +309,8 @@ def _run_clients(rule, bs, clients, sampled, extra) -> dict[int, LocalResult | N
 
 
 def _fill_metrics(rec, cfg, clients, results, state, prev_theta, prev_momentum, eval_data):
-    rec.train_loss = _population_loss(clients, state.theta)
+    if any(c.evaluable for c in clients):
+        rec.train_loss = population_loss(clients, state.theta)
     if eval_data is not None and hasattr(clients[0].model, "predict"):
         rec.test_accuracy = accuracy(
             clients[0].model, state.theta, eval_data.features, eval_data.labels
@@ -332,8 +327,9 @@ def _fill_metrics(rec, cfg, clients, results, state, prev_theta, prev_momentum, 
     if cfg.track_sharpness:
         rec.global_sharpness = global_sharpness(clients, state.theta, cfg.metric_rho)
     if cfg.track_grad_norm:
+        momentum = cfg.momentum if cfg.algorithm in MOMENTUM_SERVER else 0.0
         rec.grad_norm_extrapolated = extrapolated_grad_norm(
-            clients, prev_theta, prev_momentum, _effective_momentum(cfg)
+            clients, prev_theta, prev_momentum, momentum
         )
 
 
@@ -359,6 +355,8 @@ def load_checkpoint(path, cfg: FedConfig) -> ServerState:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
+    if len(blob) < 20:
+        raise ValueError(f"{path}: truncated checkpoint header ({len(blob)} of 20 bytes)")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")

@@ -1,12 +1,25 @@
 """Experiment-file parsing and the four CLI subcommands."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import fnsm.cli
 import fnsm.config
 from fnsm.cli import main, read_records
-from fnsm.config import ConfigError, build_problem, parse_config
-from fnsm.data import save_csv, synth_gaussian_mixture
+from fnsm.config import (
+    DATA_KINDS,
+    MODEL_KINDS,
+    ConfigError,
+    ExperimentSpec,
+    build_problem,
+    parse_config,
+)
+from fnsm.data import Dataset, save_csv, synth_gaussian_mixture
+from fnsm.federation import ALGORITHMS, FedConfig
 from fnsm.metrics import read_surface
 
 QUAD_CFG = """\
@@ -47,16 +60,78 @@ run.checkpoint_every = 3
 """
 
 
+# config_hash of these texts, computed before the key table was merged
+PINNED_HASHES = [
+    (QUAD_CFG, "69752fb5db4fc538ec6ca7cf18a5df3be79c1c25dce47f6ada8ac7800d8a7cd0"),
+    (MIX_CFG, "95570acf7c4bef263bc258a2e6620dd39d2f940707c9c2d1d0fffbbc59e92175"),
+    ("run.seeds = 1\n", "2c8510f7adaa727322da57cf1ff02c2f7754b7eaab79c8c5d556d1110d99c048"),
+    (
+        MIX_CFG.replace("data.kind = synthetic", "data.kind = csv\ndata.csv_path = /data/mix.csv"),
+        "4538cf8eb243afd53882ef79af07f8e03e4bff6104acd2bcea0342ce713bc266",
+    ),
+]
+
+
+def finite(lo, hi=1e6, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def specs(draw):
+    """Valid specs; out_dir and checkpoint_every stay default, being undumped."""
+    n_clients = draw(st.integers(1, 50))
+    classes = draw(st.integers(2, 20))
+    fed = FedConfig(
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+        n_clients=n_clients,
+        participation=draw(st.integers(1, n_clients)),
+        rounds=draw(st.integers(1, 10**6)),
+        local_steps=draw(st.integers(1, 100)),
+        batch_size=draw(st.integers(1, 512)),
+        lr0=draw(finite(0.0, exclude_min=True)),
+        lr_decay=draw(finite(0.0, 1.0, exclude_min=True)),
+        rho=draw(finite(0.0)),
+        momentum=draw(finite(0.0, 1.0, exclude_max=True)),
+        extrapolate=draw(st.booleans()),
+        eval_every=draw(st.integers(1, 1000)),
+        track_flatness=draw(st.booleans()),
+        track_sharpness=draw(st.booleans()),
+        track_grad_norm=draw(st.booleans()),
+        full_flatness=draw(st.booleans()),
+        metric_rho=draw(finite(0.0, exclude_min=True)),
+        track_wall_time=draw(st.booleans()),
+    )
+    data_kind = draw(st.sampled_from(DATA_KINDS))
+    # no comment sign and nothing str.splitlines breaks a line at
+    path = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Zl", "Zp"),
+                                 exclude_characters="#"), min_size=1)
+    return ExperimentSpec(
+        fed=fed,
+        data_kind=data_kind,
+        classes=classes,
+        dim=draw(st.integers(1, 1000)),
+        n_samples=draw(st.integers(classes, 10**6)),
+        spread=draw(finite(0.0, exclude_min=True)),
+        csv_path=draw(path.map(str.strip).filter(bool)) if data_kind == "csv" else "",
+        alpha=draw(finite(0.0, exclude_min=True)),
+        test_fraction=draw(finite(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        model_kind=draw(st.sampled_from(MODEL_KINDS)),
+        hidden=draw(st.integers(1, 512)),
+        quad_dim=draw(st.integers(1, 100)),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=4))),
+    )
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
 
 
-def csv_config(tmp_path):
-    """MIX_CFG reading a saved CSV of the same mixture instead of generating it."""
+def csv_config(tmp_path, ds=None):
+    """MIX_CFG reading a saved CSV (by default of the same mixture) instead of generating it."""
     data = tmp_path / "mix.csv"
-    save_csv(synth_gaussian_mixture(3, 4, 120, 0.7, seed=7), data)
+    save_csv(synth_gaussian_mixture(3, 4, 120, 0.7, seed=7) if ds is None else ds, data)
     text = MIX_CFG.replace("data.kind = synthetic", f"data.kind = csv\ndata.csv_path = {data}")
     return write(tmp_path, "csv.cfg", text)
 
@@ -104,6 +179,20 @@ class TestParsing:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
+    @pytest.mark.parametrize("text, digest", PINNED_HASHES)
+    def test_hash_pinned(self, tmp_path, text, digest):
+        assert parse_config(write(tmp_path, "p.cfg", text)).config_hash() == digest
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=specs())
+    def test_resolved_lines_roundtrip_property(self, tmp_path, spec):
+        spec.validate()
+        p = write(tmp_path, "dump.cfg", "\n".join(spec.resolved_lines()) + "\n")
+        back = parse_config(p)
+        assert back == spec
+        assert back.config_hash() == spec.config_hash()
+
 
 class TestCmdRun:
     def test_row_count_and_schema(self, tmp_path, capsys):
@@ -140,6 +229,35 @@ class TestCmdRun:
         assert code == 3
         err = capsys.readouterr().err
         assert "round" in err and "client" in err and "step" in err
+
+    def test_single_class_csv_exits_2_naming_file(self, tmp_path, capsys):
+        mix = synth_gaussian_mixture(3, 4, 120, 0.7, seed=7)
+        p = csv_config(tmp_path, Dataset(mix.features, np.zeros(mix.n, dtype=np.int64), 3))
+        assert main(["run", "--config", p, "--out", str(tmp_path / "out")]) == 2
+        assert str(tmp_path / "mix.csv") in capsys.readouterr().err
+
+    def test_test_split_taking_every_sample_exits_2_naming_key(self, tmp_path, capsys):
+        p = write(tmp_path, "m.cfg", MIX_CFG)
+        assert main(["run", "--config", p, "--set", "data.n=3", "--set", "data.test_fraction=0.9",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "data.test_fraction" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    def test_spread_giving_non_finite_data_exits_2_naming_key(self, tmp_path, capsys, value):
+        p = write(tmp_path, "m.cfg", MIX_CFG)
+        assert main(["run", "--config", p, "--set", f"data.spread={value}",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "data.spread" in capsys.readouterr().err
+
+    def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(fnsm.cli, "run_experiment", broken)
+        p = write(tmp_path, "q.cfg", QUAD_CFG)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["run", "--config", p, "--out", str(tmp_path / "out")])
 
     def test_one_csv_per_seed(self, tmp_path):
         p = write(tmp_path, "q.cfg", QUAD_CFG)
@@ -196,6 +314,21 @@ class TestCmdCompare:
                     assert (tmp_path / "cmp" / name).read_bytes() == (out / name).read_bytes(), name
         assert len(loads) == 3  # and one per run command
 
+    def test_summary_hash_follows_seeds_flag(self, tmp_path):
+        p = write(tmp_path, "q.cfg", QUAD_CFG)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", p, "--algos", "fedavg", "--seeds", "2,3",
+                     "--out", str(out)]) == 0
+        stamp = (out / "summary.csv").read_text().splitlines()[0]
+        assert stamp.endswith(f"config=sha256:{parse_config(p, ['run.seeds=2,3']).config_hash()}")
+        assert parse_config(p).config_hash() not in stamp
+
+    def test_bad_seeds_flag_names_key(self, tmp_path, capsys):
+        p = write(tmp_path, "q.cfg", QUAD_CFG)
+        assert main(["compare", "--config", p, "--algos", "fedavg", "--seeds", "x",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "run.seeds" in capsys.readouterr().err
+
     def test_unknown_algorithm_exits_2(self, tmp_path, capsys):
         p = write(tmp_path, "q.cfg", QUAD_CFG)
         assert main(["compare", "--config", p, "--algos", "fedprox",
@@ -224,6 +357,25 @@ class TestCmdSurface:
         clients, _, _ = build_problem(spec.for_run("fednsam", 7), 7)
         state = load_checkpoint(ckpt, spec.fed)
         assert values[2, 2] == pytest.approx(population_loss(clients, state.theta), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda b: b"XXXX" + b[4:],
+            lambda b: b[:4] + struct.pack("<I", 9) + b[8:],
+            lambda b: b[:-8],
+            lambda b: b[:10],
+        ],
+        ids=["magic", "version", "truncated", "truncated_header"],
+    )
+    def test_bad_checkpoint_exits_2_naming_it(self, tmp_path, capsys, corrupt):
+        cfg, ckpt, out = self.setup_ckpt(tmp_path)
+        bad = tmp_path / "bad.ckpt"
+        with open(ckpt, "rb") as f:
+            bad.write_bytes(corrupt(f.read()))
+        assert main(["surface", "--config", cfg, "--ckpt", str(bad),
+                     "--range", "0.5", "--res", "5", "--out", str(out)]) == 2
+        assert f"--ckpt {bad}:" in capsys.readouterr().err
 
     def test_even_resolution_exits_2(self, tmp_path, capsys):
         cfg, ckpt, out = self.setup_ckpt(tmp_path)

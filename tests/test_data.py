@@ -245,6 +245,7 @@ class TestCsv:
             ("0.0,1.0,0\n1.0,0.0,99999999999999999999\n", ":2: label out of range"),
             ("0.0,1.0,0\n1.0,inf,1\n", ":2: non-finite"),
             ("0.0,1.0,0\n1.0,0.0,1\nnan,0.0,1\n", ":3: non-finite"),
+            ("0.0,1.0,0\n1.0,0.0,0\n", r"bad\.csv: every label is 0"),
         ],
     )
     def test_parse_errors_name_the_line(self, tmp_path, content, fragment):
