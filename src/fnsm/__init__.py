@@ -34,10 +34,8 @@ from .federation import (
     server_update,
 )
 from .local import (
-    BroadcastState,
     ClientState,
     DivergenceError,
-    LocalResult,
     LocalRule,
     local_round,
     nsam_perturbation,

@@ -13,6 +13,7 @@ non-finite). Any other exception is a bug and keeps its traceback.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -32,10 +33,10 @@ from .federation import ALGORITHMS, RoundRecord, load_checkpoint, run_experiment
 from .local import DivergenceError
 from .metrics import loss_surface_slice, write_surface
 
-CSV_COLUMNS = (
-    "round,train_loss,test_accuracy,grad_norm_extrapolated,"
-    "flatness_distance,global_sharpness,wall_time_ms"
-)
+_FIELDS = tuple(f.name for f in dataclasses.fields(RoundRecord))
+CSV_COLUMNS = ",".join(_FIELDS)
+# final-window metrics that compare reports, as a mean and a std over seeds
+SUMMARY_METRICS = ("test_accuracy", "flatness_distance", "global_sharpness")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,25 +56,11 @@ def write_records(path, records: list[RoundRecord], spec: ExperimentSpec) -> Non
         f.write(f"# fnsm {__version__} config=sha256:{spec.config_hash()}\n")
         f.write(CSV_COLUMNS + "\n")
         for r in records:
-            f.write(
-                ",".join(
-                    _cell(v)
-                    for v in (
-                        r.round,
-                        r.train_loss,
-                        r.test_accuracy,
-                        r.grad_norm_extrapolated,
-                        r.flatness_distance,
-                        r.global_sharpness,
-                        r.wall_time_ms,
-                    )
-                )
-                + "\n"
-            )
+            f.write(",".join(_cell(getattr(r, name)) for name in _FIELDS) + "\n")
 
 
 def read_records(path) -> list[RoundRecord]:
-    """Parse a metrics CSV back; used by compare and by tests."""
+    """Parse a metrics CSV back into its records."""
     records = []
     with open(path) as f:
         lines = [ln for ln in f.read().splitlines() if ln and not ln.startswith("#")]
@@ -82,13 +69,14 @@ def read_records(path) -> list[RoundRecord]:
     for ln in lines[1:]:
         cells = ln.split(",")
         vals = [None if c == "" else float(c) for c in cells[1:]]
-        records.append(RoundRecord(int(cells[0]), *vals))
+        records.append(RoundRecord(int(cells[0]), **dict(zip(_FIELDS[1:], vals))))
     return records
 
 
 def _run_one(
     spec: ExperimentSpec, algorithm: str, seed: int, out_dir: str, dataset: Dataset | None
-) -> str:
+) -> list[RoundRecord]:
+    """Run one (algorithm, seed), write its CSV and print the path; return its records."""
     run_spec = spec.for_run(algorithm, seed)
     clients, eval_data, _ = build_problem(run_spec, seed, dataset)
     ckpt = None
@@ -103,7 +91,8 @@ def _run_one(
     )
     path = os.path.join(out_dir, f"{algorithm}_seed{seed}.csv")
     write_records(path, records, run_spec)
-    return path
+    print(path)
+    return records
 
 
 def _parse(args) -> ExperimentSpec:
@@ -119,8 +108,7 @@ def cmd_run(args) -> int:
     os.makedirs(spec.out_dir, exist_ok=True)
     dataset = read_dataset(spec)
     for seed in spec.seeds:
-        path = _run_one(spec, spec.fed.algorithm, seed, spec.out_dir, dataset)
-        print(path)
+        _run_one(spec, spec.fed.algorithm, seed, spec.out_dir, dataset)
     return EXIT_OK
 
 
@@ -142,16 +130,10 @@ def cmd_compare(args) -> int:
     dataset = read_dataset(spec)
     table = []
     for algo in algos:
-        per_seed = {m: [] for m in ("test_accuracy", "flatness_distance", "global_sharpness")}
-        for seed in spec.seeds:
-            path = _run_one(spec, algo, seed, spec.out_dir, dataset)
-            print(path)
-            records = read_records(path)
-            for m in per_seed:
-                per_seed[m].append(final_window_mean(records, m))
+        runs = [_run_one(spec, algo, seed, spec.out_dir, dataset) for seed in spec.seeds]
         row = [algo]
-        for m in ("test_accuracy", "flatness_distance", "global_sharpness"):
-            vals = [v for v in per_seed[m] if v is not None]
+        for m in SUMMARY_METRICS:
+            vals = [v for v in (final_window_mean(r, m) for r in runs) if v is not None]
             if vals:
                 row += [repr(float(np.mean(vals))), repr(float(np.std(vals)))]
             else:
@@ -160,11 +142,8 @@ def cmd_compare(args) -> int:
     path = os.path.join(spec.out_dir, "summary.csv")
     with open(path, "w", newline="\n") as f:
         f.write(f"# fnsm {__version__} config=sha256:{spec.config_hash()}\n")
-        f.write(
-            "algo,test_accuracy_mean,test_accuracy_std,"
-            "flatness_distance_mean,flatness_distance_std,"
-            "global_sharpness_mean,global_sharpness_std\n"
-        )
+        columns = ["algo"] + [f"{m}_{stat}" for m in SUMMARY_METRICS for stat in ("mean", "std")]
+        f.write(",".join(columns) + "\n")
         for row in table:
             f.write(",".join(row) + "\n")
     print(path)
@@ -175,8 +154,8 @@ def cmd_surface(args) -> int:
     spec = _parse(args)
     if args.res < 3 or args.res % 2 == 0:
         raise ConfigError("--res must be odd and >= 3")
-    if args.range <= 0:
-        raise ConfigError("--range must be positive")
+    if not 0 < args.range < float("inf"):
+        raise ConfigError("--range must be positive and finite")
     seed = spec.seeds[0]
     run_spec = spec.for_run(spec.fed.algorithm, seed)
     clients, _, model = build_problem(run_spec, seed)

@@ -77,11 +77,11 @@ class ExperimentSpec:
         if self.model_kind != "quadratic":
             if self.classes < 2 or self.dim < 1 or self.n_samples < self.classes:
                 raise ConfigError("need data.classes >= 2, data.dim >= 1, data.n >= classes")
-            if self.spread <= 0:
+            if not self.spread > 0:
                 raise ConfigError("data.spread must be positive")
             if not 0.0 < self.test_fraction < 1.0:
                 raise ConfigError("data.test_fraction must lie in (0, 1)")
-            if self.alpha <= 0:
+            if not self.alpha > 0:
                 raise ConfigError("data.alpha must be positive")
             if self.hidden < 1:
                 raise ConfigError("model.hidden must be >= 1")
@@ -173,6 +173,13 @@ def _read_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+def _read_float(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _read_seeds(raw: str) -> tuple[int, ...]:
     return tuple(int(s) for s in raw.split(",") if s.strip())
 
@@ -181,7 +188,7 @@ def _read_seeds(raw: str) -> tuple[int, ...]:
 _READERS = {
     bool: (_read_bool, "a boolean"),
     int: (int, "an integer"),
-    float: (float, "a number"),
+    float: (_read_float, "a finite number"),
     str: (str, "text"),
     tuple: (_read_seeds, "comma-separated integers"),
 }
@@ -196,7 +203,7 @@ def _assign(spec_kw: dict, fed_kw: dict, key: str, raw: str, where: str) -> None
     try:
         value = read(raw)
     except ValueError:
-        raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from None
+        raise ConfigError(f"{where}: {key} = {raw!r}: expected {expected}") from None
     owner, _, name = attr.rpartition(".")
     (fed_kw if owner else spec_kw)[name] = value
 
@@ -226,7 +233,7 @@ def parse_config(path, overrides: list[str] | None = None) -> ExperimentSpec:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r}: expected key=value")
         key, raw = (part.strip() for part in ov.split("=", 1))
-        _assign(spec_kw, fed_kw, key, raw, f"override {key}")
+        _assign(spec_kw, fed_kw, key, raw, "override")
     try:
         spec = ExperimentSpec(fed=FedConfig(**fed_kw), **spec_kw)
         spec.validate()
@@ -285,10 +292,7 @@ def build_problem(spec: ExperimentSpec, seed: int, dataset: Dataset | None = Non
             Quadratic(np.diag(rng.uniform(0.3, 1.5, spec.quad_dim)), rng.standard_normal(spec.quad_dim))
             for _ in range(fed.n_clients)
         ]
-        clients = quadratic_clients(ensemble)
-        for c in clients:
-            c.seed = seed
-        return clients, None, ensemble[0]
+        return quadratic_clients(ensemble), None, ensemble[0]
 
     train, test, shards = client_data(spec, seed, dataset)
     if spec.model_kind == "mlp":

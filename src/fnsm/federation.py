@@ -1,9 +1,11 @@
-"""Server loop: sampling, broadcast, aggregation, momentum, schedules.
+"""Server loop: sampling, local rounds, aggregation, momentum, schedules.
 
-One coordinator drives rounds sequentially. Within a round the sampled
-clients are independent pure computations, run one after another in
-ascending client-id order and reduced in that order, which keeps every
-output bit-identical for a given seed.
+One coordinator drives rounds sequentially. Each sampled client receives
+the round's ServerState and returns its final model; the server forms
+each client's displacement as that model minus theta. The clients are
+independent pure computations, run one after another in ascending
+client-id order and reduced in that order, which keeps every output
+bit-identical for a given seed.
 
 Two server branches exist. Plain averaging adds the mean client
 displacement to the global model. The momentum branch folds the mean
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .local import BroadcastState, ClientState, LocalResult, LocalRule, local_round
+from .local import ClientState, LocalRule, local_round
 from .metrics import extrapolated_grad_norm, flatness_distance, global_sharpness, population_loss
 from .models import accuracy
 from .rng import rng_for
@@ -96,9 +98,9 @@ class FedConfig:
             raise ValueError("need 1 <= participation <= n_clients")
         if self.rounds < 1 or self.local_steps < 1 or self.batch_size < 1:
             raise ValueError("rounds, local_steps and batch_size must be >= 1")
-        if self.lr0 <= 0 or not 0.0 < self.lr_decay <= 1.0:
+        if not (self.lr0 > 0 and 0.0 < self.lr_decay <= 1.0):
             raise ValueError("need lr0 > 0 and 0 < lr_decay <= 1")
-        if self.rho < 0 or self.metric_rho <= 0:
+        if not (self.rho >= 0 and self.metric_rho > 0):
             raise ValueError("need rho >= 0 and metric_rho > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
@@ -131,7 +133,10 @@ class RoundRecord:
 def local_rule_for(cfg: FedConfig) -> LocalRule:
     """The algorithm's local rule; each rule kind reads only the knobs it uses."""
     kind, _ = _ALGORITHM_PARTS[cfg.algorithm]
-    return LocalRule(kind, rho=cfg.rho, momentum=cfg.momentum, extrapolate=cfg.extrapolate)
+    return LocalRule(
+        kind, rho=cfg.rho, momentum=cfg.momentum, extrapolate=cfg.extrapolate,
+        local_steps=cfg.local_steps,
+    )
 
 
 def sample_clients(n_clients: int, participation: int, round_index: int, seed: int) -> list[int]:
@@ -258,23 +263,16 @@ def run_experiment(
     for t in range(state.round_index, cfg.rounds):
         started = time.perf_counter()
         sampled = sample_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
-        bs = BroadcastState(
-            theta=state.theta,
-            momentum=state.momentum,
-            last_delta=state.last_delta,
-            lr=state.lr,
-            local_steps=cfg.local_steps,
-            round_index=t,
-        )
+        finals = {i: local_round(rule, state, clients[i]) for i in sampled}
         eval_round = (t + 1) % cfg.eval_every == 0
-        extra = (
-            [i for i in range(cfg.n_clients) if i not in set(sampled)]
-            if eval_round and cfg.full_flatness and cfg.track_flatness
-            else []
-        )
-        results = _run_clients(rule, bs, clients, sampled, extra)
+        if eval_round and cfg.full_flatness and cfg.track_flatness:
+            # metric-only rounds, so that the dispersion covers every
+            # client; they leave client memory as it was
+            for i in range(cfg.n_clients):
+                if i not in finals:
+                    finals[i] = local_round(rule, state, clients[i], update_client_state=False)
 
-        deltas = [results[i].delta for i in sampled if results[i] is not None]
+        deltas = [finals[i] - state.theta for i in sampled if finals[i] is not None]
         mean_delta = aggregate(deltas) if deltas else np.zeros_like(state.theta)
         prev_theta, prev_momentum = state.theta, state.momentum
         state = server_update(state, mean_delta, cfg)
@@ -284,7 +282,7 @@ def run_experiment(
             # a run mid-divergence can overflow here; the divergence
             # error itself is raised from the next local round
             with np.errstate(over="ignore", invalid="ignore"):
-                _fill_metrics(rec, cfg, clients, results, state, prev_theta, prev_momentum, eval_data)
+                _fill_metrics(rec, cfg, clients, finals, state, prev_theta, prev_momentum, eval_data)
         if cfg.track_wall_time:
             rec.wall_time_ms = (time.perf_counter() - started) * 1000.0
         records.append(rec)
@@ -298,17 +296,7 @@ def run_experiment(
     return records, state
 
 
-def _run_clients(rule, bs, clients, sampled, extra) -> dict[int, LocalResult | None]:
-    """Local rounds for the sampled set plus metric-only extras.
-
-    Extras never mutate client memory; they exist only so the dispersion
-    metric can cover the whole population when asked to.
-    """
-    jobs = [(i, True) for i in sampled] + [(i, False) for i in extra]
-    return {i: local_round(rule, bs, clients[i], update_client_state=real) for i, real in jobs}
-
-
-def _fill_metrics(rec, cfg, clients, results, state, prev_theta, prev_momentum, eval_data):
+def _fill_metrics(rec, cfg, clients, finals, state, prev_theta, prev_momentum, eval_data):
     if any(c.evaluable for c in clients):
         rec.train_loss = population_loss(clients, state.theta)
     if eval_data is not None and hasattr(clients[0].model, "predict"):
@@ -316,12 +304,12 @@ def _fill_metrics(rec, cfg, clients, results, state, prev_theta, prev_momentum, 
             clients[0].model, state.theta, eval_data.features, eval_data.labels
         )
     if cfg.track_flatness:
-        finals = [results[i].final_theta for i in sorted(results) if results[i] is not None]
-        if finals:
+        models = [finals[i] for i in sorted(finals) if finals[i] is not None]
+        if models:
             # dispersion is measured around the average of the round's
             # local models, which is the plain-averaging global model
-            center = aggregate(finals)
-            rec.flatness_distance = flatness_distance(finals, center)
+            center = aggregate(models)
+            rec.flatness_distance = flatness_distance(models, center)
     if rec.train_loss is None:
         return  # nothing evaluable; population metrics stay absent
     if cfg.track_sharpness:

@@ -1,7 +1,11 @@
 """Per-client local training for one communication round.
 
-Five update rules share one loop. With g(.) the minibatch gradient and
-lr the broadcast learning rate:
+The client receives the server state of the round (theta, the server
+momentum m, the last aggregated displacement, the learning rate and the
+round index) and returns its model after K local steps. Five update
+rules share one loop; they differ only in how they build the ascent
+probe from what the server sent. With g(.) the minibatch gradient and
+lr the round's learning rate:
 
   sgd     theta <- theta - lr * g(theta)
   sam     probe the ascent direction of the *local* gradient:
@@ -15,7 +19,7 @@ lr the broadcast learning rate:
   lesam   perturb along the drift between the last-received and current
           global model: d = rho * (old_global - theta0)/|.|
 
-The nsam probe offset and perturbation depend only on broadcast state,
+The nsam probe offset and perturbation depend only on the server state,
 so they are constant across all K steps and across clients within a
 round; sam recomputes its perturbation from each step's own gradient.
 
@@ -34,8 +38,6 @@ from .rng import rng_for
 __all__ = [
     "LocalRule",
     "ClientState",
-    "BroadcastState",
-    "LocalResult",
     "DivergenceError",
     "sam_perturbation",
     "nsam_perturbation",
@@ -62,40 +64,23 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LocalRule:
-    """Which per-step update runs on the client, with its knobs."""
+    """Which per-step update runs on the client, with its knobs and K."""
 
     kind: str
     rho: float = 0.0
     momentum: float = 0.0
     extrapolate: bool = True
+    local_steps: int = 1
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown local rule {self.kind!r}")
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ValueError("rho must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-
-    @classmethod
-    def sgd(cls):
-        return cls("sgd")
-
-    @classmethod
-    def sam(cls, rho: float):
-        return cls("sam", rho=rho)
-
-    @classmethod
-    def nsam(cls, rho: float, momentum: float, extrapolate: bool = True):
-        return cls("nsam", rho=rho, momentum=momentum, extrapolate=extrapolate)
-
-    @classmethod
-    def mosam(cls, rho: float, momentum: float):
-        return cls("mosam", rho=rho, momentum=momentum)
-
-    @classmethod
-    def lesam(cls, rho: float):
-        return cls("lesam", rho=rho)
+        if self.local_steps < 1:
+            raise ValueError("local_steps must be >= 1")
 
 
 @dataclass
@@ -144,28 +129,9 @@ class ClientState:
                 yield self.features[take], self.labels[take]
 
 
-@dataclass(frozen=True)
-class BroadcastState:
-    """Server-to-client payload for one round."""
-
-    theta: np.ndarray
-    momentum: np.ndarray
-    last_delta: np.ndarray
-    lr: float
-    local_steps: int
-    round_index: int
-
-
-@dataclass(frozen=True)
-class LocalResult:
-    delta: np.ndarray  # final_theta - broadcast theta, exactly
-    final_theta: np.ndarray
-    steps_taken: int
-
-
 def sam_perturbation(g: np.ndarray, rho: float) -> np.ndarray:
     """rho * g / |g|, or zero when the gradient has (near-)zero norm."""
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be >= 0")
     norm = float(np.linalg.norm(g))
     if norm < ZERO_NORM:
@@ -179,7 +145,7 @@ def nsam_perturbation(m: np.ndarray, rho: float) -> np.ndarray:
     The momentum accumulates descent displacements, so its negation points
     up the loss surface, which is the direction an ascent probe needs.
     """
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be >= 0")
     norm = float(np.linalg.norm(m))
     if norm < ZERO_NORM:
@@ -188,39 +154,38 @@ def nsam_perturbation(m: np.ndarray, rho: float) -> np.ndarray:
 
 
 def local_round(
-    rule: LocalRule,
-    bs: BroadcastState,
-    client: ClientState,
-    update_client_state: bool = True,
-) -> LocalResult | None:
-    """Run K local steps from the broadcast model; return the displacement.
+    rule: LocalRule, state, client: ClientState, update_client_state: bool = True
+) -> np.ndarray | None:
+    """Run K local steps from the server model; return the client's final model.
 
-    Returns None for a client whose shard is empty (the caller skips it).
+    ``state`` is the round's ``federation.ServerState``; only its theta,
+    momentum, last_delta, lr and round_index are read. Returns None for
+    a client whose shard is empty (the caller skips it).
     ``update_client_state`` is turned off for metric-only evaluations so
     that lesam's participation memory only advances on real participation.
     """
     if client.n_samples == 0:
         return None
-    theta0 = np.asarray(bs.theta, dtype=np.float64)
+    theta0 = np.asarray(state.theta, dtype=np.float64)
     theta = theta0.copy()
-    lr = bs.lr
+    lr = state.lr
 
     if rule.kind == "nsam":
-        probe_offset = nsam_perturbation(bs.momentum, rule.rho)
+        probe_offset = nsam_perturbation(state.momentum, rule.rho)
         if rule.extrapolate:
-            probe_offset = probe_offset + rule.momentum * bs.momentum
+            probe_offset = probe_offset + rule.momentum * state.momentum
     elif rule.kind == "lesam":
         if client.old_global is None:
             probe_offset = np.zeros_like(theta0)
         else:
             probe_offset = sam_perturbation(client.old_global - theta0, rule.rho)
     elif rule.kind == "mosam":
-        ghat = -bs.last_delta / (lr * bs.local_steps)
+        ghat = -state.last_delta / (lr * rule.local_steps)
 
-    stream = client.batches(bs.round_index)
+    stream = client.batches(state.round_index)
     # overflow is an anticipated failure mode, reported via DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(bs.local_steps):
+        for k in range(rule.local_steps):
             X, y = next(stream)
             if rule.kind == "sgd":
                 theta = theta - lr * client.model.grad(theta, X, y)
@@ -234,8 +199,8 @@ def local_round(
             else:  # nsam, lesam: shared probe offset, constant within the round
                 theta = theta - lr * client.model.grad(theta + probe_offset, X, y)
             if not np.isfinite(theta).all():
-                raise DivergenceError(bs.round_index, client.client_id, k)
+                raise DivergenceError(state.round_index, client.client_id, k)
 
     if update_client_state and rule.kind == "lesam":
         client.old_global = theta0
-    return LocalResult(delta=theta - theta0, final_theta=theta, steps_taken=bs.local_steps)
+    return theta

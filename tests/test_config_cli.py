@@ -1,6 +1,7 @@
 """Experiment-file parsing and the four CLI subcommands."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,13 @@ PINNED_HASHES = [
         MIX_CFG.replace("data.kind = synthetic", "data.kind = csv\ndata.csv_path = /data/mix.csv"),
         "4538cf8eb243afd53882ef79af07f8e03e4bff6104acd2bcea0342ce713bc266",
     ),
+]
+
+
+# every key whose value is read as a float, straight from the key table
+FLOAT_KEYS = [
+    key for key, (attr, _) in fnsm.config._KEYS.items()
+    if type(fnsm.config._get(ExperimentSpec(), attr)) is float
 ]
 
 
@@ -152,6 +160,16 @@ class TestParsing:
         p = write(tmp_path, "bad.cfg", "fed.rounds = soon\n")
         with pytest.raises(ConfigError, match=":1"):
             parse_config(p)
+
+    def test_non_finite_value_names_line_and_key(self, tmp_path):
+        p = write(tmp_path, "bad.cfg", "fed.rounds = 3\nfed.lr = nan\n")
+        with pytest.raises(ConfigError, match=r":2: fed.lr = 'nan': expected a finite number"):
+            parse_config(p)
+
+    @pytest.mark.parametrize("attr", ["spread", "alpha", "test_fraction"])
+    def test_nan_fails_spec_validation(self, attr):
+        with pytest.raises(ConfigError, match=f"data.{attr}"):
+            replace(ExperimentSpec(), **{attr: float("nan")}).validate()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -249,6 +267,18 @@ class TestCmdRun:
         assert main(["run", "--config", p, "--set", f"data.spread={value}",
                      "--out", str(tmp_path / "out")]) == 2
         assert "data.spread" in capsys.readouterr().err
+
+    def test_float_keys_found(self):
+        assert {"fed.lr", "data.alpha", "metrics.rho"} <= set(FLOAT_KEYS)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_exits_2_naming_key(self, tmp_path, capsys, key, value):
+        p = write(tmp_path, "m.cfg", MIX_CFG)
+        assert main(["run", "--config", p, "--set", f"{key}={value}",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -376,6 +406,14 @@ class TestCmdSurface:
         assert main(["surface", "--config", cfg, "--ckpt", str(bad),
                      "--range", "0.5", "--res", "5", "--out", str(out)]) == 2
         assert f"--ckpt {bad}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("span", ["nan", "inf", "0"])
+    def test_bad_range_exits_2(self, tmp_path, capsys, span):
+        cfg, ckpt, out = self.setup_ckpt(tmp_path)
+        assert main(["surface", "--config", cfg, "--ckpt", ckpt,
+                     "--range", span, "--res", "5", "--out", str(out)]) == 2
+        assert "--range" in capsys.readouterr().err
+        assert not (out / "surface.txt").exists()
 
     def test_even_resolution_exits_2(self, tmp_path, capsys):
         cfg, ckpt, out = self.setup_ckpt(tmp_path)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fnsm import (
+    ALGORITHMS,
     ClientState,
     FedConfig,
     Mlp1,
@@ -185,6 +186,19 @@ class TestRunExperiment:
         assert evaluated == [3, 7]
         assert all(r.flatness_distance is None for r in recs if r.round not in evaluated)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_metric_only_rounds_never_steer_training(self, algorithm):
+        # full_flatness adds local rounds for the unsampled clients on eval
+        # rounds; they feed the dispersion metric and nothing else
+        cfg = small_cfg(algorithm=algorithm, participation=2, rounds=12, local_steps=3,
+                        eval_every=2, rho=0.1, momentum=0.85, seed=4)
+        ra, sa = run(replace(cfg, full_flatness=True), seed=4)
+        rb, sb = run(cfg, seed=4)
+        assert np.array_equal(sa.theta, sb.theta)
+        assert [r.train_loss for r in ra] == [r.train_loss for r in rb]
+        # the extras did run: the dispersion covers more local models
+        assert [r.flatness_distance for r in ra] != [r.flatness_distance for r in rb]
+
     def test_quadratic_convergence_to_closed_form(self):
         rng = rng_for(5, "ens")
         ens = [
@@ -228,6 +242,11 @@ class TestRunExperiment:
             small_cfg(algorithm="fedprox").validate()
         with pytest.raises(ValueError):
             small_cfg(momentum=1.0).validate()
+
+    @pytest.mark.parametrize("field", ["lr0", "lr_decay", "rho", "momentum", "metric_rho"])
+    def test_nan_fails_validation(self, field):
+        with pytest.raises(ValueError):
+            small_cfg(**{field: float("nan")}).validate()
 
 
 class TestCheckpoints:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fnsm import (
-    BroadcastState,
     ClientState,
     DivergenceError,
     LocalRule,
     Quadratic,
+    ServerState,
     SoftmaxLinear,
     local_round,
     nsam_perturbation,
@@ -18,16 +18,15 @@ from fnsm import (
 )
 
 
-def broadcast(theta, momentum=None, last_delta=None, lr=0.1, steps=1, round_index=0):
+def server(theta, momentum=None, last_delta=None, lr=0.1, round_index=0):
     theta = np.asarray(theta, dtype=float)
     z = np.zeros_like(theta)
-    return BroadcastState(
+    return ServerState(
         theta=theta,
         momentum=z if momentum is None else np.asarray(momentum, dtype=float),
         last_delta=z if last_delta is None else np.asarray(last_delta, dtype=float),
-        lr=lr,
-        local_steps=steps,
         round_index=round_index,
+        lr=lr,
     )
 
 
@@ -68,14 +67,20 @@ class TestPerturbations:
             sam_perturbation(np.ones(2), -0.1)
         with pytest.raises(ValueError):
             nsam_perturbation(np.ones(2), -0.1)
+        with pytest.raises(ValueError):
+            sam_perturbation(np.ones(2), float("nan"))
 
 
 class TestRuleValidation:
     def test_bad_rho_and_momentum(self):
         with pytest.raises(ValueError):
-            LocalRule.sam(-1.0)
+            LocalRule("sam", rho=-1.0)
         with pytest.raises(ValueError):
-            LocalRule.nsam(0.1, 1.0)
+            LocalRule("nsam", rho=0.1, momentum=1.0)
+        with pytest.raises(ValueError):
+            LocalRule("sam", rho=float("nan"))
+        with pytest.raises(ValueError):
+            LocalRule("sgd", local_steps=0)
         with pytest.raises(ValueError):
             LocalRule("newton")
 
@@ -84,40 +89,45 @@ class TestSgdStep:
     def test_single_step_displacement(self):
         client = quad_client(np.eye(2), [1.0, -2.0])
         theta0 = np.array([0.5, 0.5])
-        res = local_round(LocalRule.sgd(), broadcast(theta0, lr=0.1), client)
+        final = local_round(LocalRule("sgd"), server(theta0, lr=0.1), client)
         expect = -0.1 * (theta0 - np.array([1.0, -2.0]))
-        assert np.allclose(res.delta, expect, atol=1e-15)
+        assert np.allclose(final - theta0, expect, atol=1e-15)
 
     def test_bookkeeping_exact(self):
+        # exactly K = 7 plain steps over the round's batch stream
         client = data_client(seed=3)
-        bs = broadcast(np.zeros(client.model.dim), lr=0.05, steps=7)
-        res = local_round(LocalRule.sgd(), bs, client)
-        assert np.array_equal(res.delta + bs.theta, res.final_theta)
-        assert res.steps_taken == 7
+        state = server(np.zeros(client.model.dim), lr=0.05, round_index=2)
+        final = local_round(LocalRule("sgd", local_steps=7), state, client)
+        stream = client.batches(2)
+        theta = state.theta.copy()
+        for _ in range(7):
+            X, y = next(stream)
+            theta = theta - 0.05 * client.model.grad(theta, X, y)
+        assert np.array_equal(final, theta)
 
     def test_descent_on_quadratic(self):
         # lr below 1/lambda_max strictly decreases the full objective
         A = np.diag([2.0, 0.5])
         client = quad_client(A, [0.0, 0.0])
         theta0 = np.array([1.0, 1.0])
-        res = local_round(LocalRule.sgd(), broadcast(theta0, lr=0.4, steps=3), client)
-        assert client.model.loss(res.final_theta) < client.model.loss(theta0)
+        final = local_round(LocalRule("sgd", local_steps=3), server(theta0, lr=0.4), client)
+        assert client.model.loss(final) < client.model.loss(theta0)
 
 
 class TestReductions:
     def test_sam_zero_radius_equals_sgd(self):
         client_a, client_b = data_client(seed=5), data_client(seed=5)
-        bs = broadcast(np.zeros(client_a.model.dim), lr=0.1, steps=10)
-        a = local_round(LocalRule.sgd(), bs, client_a)
-        b = local_round(LocalRule.sam(0.0), bs, client_b)
-        assert np.array_equal(a.final_theta, b.final_theta)
+        state = server(np.zeros(client_a.model.dim), lr=0.1)
+        a = local_round(LocalRule("sgd", local_steps=10), state, client_a)
+        b = local_round(LocalRule("sam", rho=0.0, local_steps=10), state, client_b)
+        assert np.array_equal(a, b)
 
     def test_nsam_all_zero_equals_sgd(self):
         client_a, client_b = data_client(seed=6), data_client(seed=6)
-        bs = broadcast(np.zeros(client_a.model.dim), lr=0.1, steps=10)
-        a = local_round(LocalRule.sgd(), bs, client_a)
-        b = local_round(LocalRule.nsam(0.0, 0.0, extrapolate=True), bs, client_b)
-        assert np.array_equal(a.final_theta, b.final_theta)
+        state = server(np.zeros(client_a.model.dim), lr=0.1)
+        a = local_round(LocalRule("sgd", local_steps=10), state, client_a)
+        b = local_round(LocalRule("nsam", 0.0, 0.0, extrapolate=True, local_steps=10), state, client_b)
+        assert np.array_equal(a, b)
 
 
 class TestSamStep:
@@ -125,8 +135,8 @@ class TestSamStep:
         # F = theta^2/2, theta0 = 1, lr = 0.1, rho = 0.1:
         # probe = 1.1, so theta1 = 1 - 0.1 * 1.1 = 0.89
         client = quad_client(np.eye(1), [0.0])
-        res = local_round(LocalRule.sam(0.1), broadcast(np.array([1.0]), lr=0.1), client)
-        assert res.final_theta[0] == pytest.approx(0.89, abs=1e-15)
+        final = local_round(LocalRule("sam", rho=0.1), server(np.array([1.0]), lr=0.1), client)
+        assert final[0] == pytest.approx(0.89, abs=1e-15)
 
 
 class TestNsamStep:
@@ -137,26 +147,26 @@ class TestNsamStep:
         m = np.array([0.2, -0.1])
         lam, rho, lr = 0.85, 0.1, 0.2
         client = quad_client(A, c)
-        bs = broadcast(np.array([1.0, 1.0]), momentum=m, lr=lr, steps=4)
-        res = local_round(LocalRule.nsam(rho, lam, extrapolate=True), bs, client)
+        state = server(np.array([1.0, 1.0]), momentum=m, lr=lr)
+        final = local_round(LocalRule("nsam", rho, lam, extrapolate=True, local_steps=4), state, client)
 
         offset = lam * m + rho * (-m) / np.linalg.norm(m)
-        theta = bs.theta.copy()
+        theta = state.theta.copy()
         for _ in range(4):
             theta = theta - lr * (A @ (theta + offset - c))
-        assert np.allclose(res.final_theta, theta, atol=1e-15)
+        assert np.allclose(final, theta, atol=1e-15)
 
     def test_no_extrapolation_drops_lookahead(self):
         m = np.array([0.2, -0.1])
         client = quad_client(np.eye(2), [0.0, 0.0])
-        bs = broadcast(np.array([1.0, 1.0]), momentum=m, lr=0.1, steps=2)
-        res = local_round(LocalRule.nsam(0.1, 0.85, extrapolate=False), bs, client)
+        state = server(np.array([1.0, 1.0]), momentum=m, lr=0.1)
+        final = local_round(LocalRule("nsam", 0.1, 0.85, extrapolate=False, local_steps=2), state, client)
 
         offset = 0.1 * (-m) / np.linalg.norm(m)
-        theta = bs.theta.copy()
+        theta = state.theta.copy()
         for _ in range(2):
             theta = theta - 0.1 * (theta + offset)
-        assert np.allclose(res.final_theta, theta, atol=1e-15)
+        assert np.allclose(final, theta, atol=1e-15)
 
 
 class TestMoSamStep:
@@ -165,48 +175,47 @@ class TestMoSamStep:
         last_delta = np.array([-0.4, 0.2])
         lam, rho, lr, K = 0.85, 0.1, 0.1, 3
         client = quad_client(A, c)
-        bs = broadcast(np.array([1.0, 0.5]), last_delta=last_delta, lr=lr, steps=K)
-        res = local_round(LocalRule.mosam(rho, lam), bs, client)
+        state = server(np.array([1.0, 0.5]), last_delta=last_delta, lr=lr)
+        final = local_round(LocalRule("mosam", rho, lam, local_steps=K), state, client)
 
         ghat = -last_delta / (lr * K)
-        theta = bs.theta.copy()
+        theta = state.theta.copy()
         for _ in range(K):
             g = A @ (theta - c)
             d = rho * g / np.linalg.norm(g)
             theta = theta - lr * (lam * (A @ (theta + d - c)) + (1 - lam) * ghat)
-        assert np.allclose(res.final_theta, theta, atol=1e-15)
+        assert np.allclose(final, theta, atol=1e-15)
 
 
 class TestLesamStep:
     def test_first_participation_has_zero_perturbation(self):
         client_a, client_b = data_client(seed=7), data_client(seed=7)
-        bs = broadcast(np.zeros(client_a.model.dim), lr=0.1, steps=5)
-        a = local_round(LocalRule.sgd(), bs, client_a)
-        b = local_round(LocalRule.lesam(0.1), bs, client_b)
-        assert np.array_equal(a.final_theta, b.final_theta)
-        assert np.array_equal(client_b.old_global, bs.theta)
+        state = server(np.zeros(client_a.model.dim), lr=0.1)
+        a = local_round(LocalRule("sgd", local_steps=5), state, client_a)
+        b = local_round(LocalRule("lesam", rho=0.1, local_steps=5), state, client_b)
+        assert np.array_equal(a, b)
+        assert np.array_equal(client_b.old_global, state.theta)
 
     def test_perturbs_along_global_drift(self):
         A, c = np.diag([1.0, 2.0]), np.array([0.5, -0.5])
         client = quad_client(A, c)
         client.old_global = np.array([1.0, 1.0])
         theta0 = np.array([0.2, 0.6])
-        bs = broadcast(theta0, lr=0.1, steps=2)
-        res = local_round(LocalRule.lesam(0.3), bs, client)
+        final = local_round(LocalRule("lesam", rho=0.3, local_steps=2), server(theta0, lr=0.1), client)
 
         drift = np.array([1.0, 1.0]) - theta0
         d = 0.3 * drift / np.linalg.norm(drift)
         theta = theta0.copy()
         for _ in range(2):
             theta = theta - 0.1 * (A @ (theta + d - c))
-        assert np.allclose(res.final_theta, theta, atol=1e-15)
+        assert np.allclose(final, theta, atol=1e-15)
         assert np.array_equal(client.old_global, theta0)
 
     def test_metric_only_run_keeps_memory(self):
         client = data_client(seed=8)
         client.old_global = np.full(client.model.dim, 0.25)
-        bs = broadcast(np.zeros(client.model.dim), lr=0.1, steps=2)
-        local_round(LocalRule.lesam(0.1), bs, client, update_client_state=False)
+        rule = LocalRule("lesam", rho=0.1, local_steps=2)
+        local_round(rule, server(np.zeros(client.model.dim), lr=0.1), client, update_client_state=False)
         assert np.array_equal(client.old_global, np.full(client.model.dim, 0.25))
 
 
@@ -217,13 +226,13 @@ class TestEdges:
             client_id=0, model=model,
             features=np.empty((0, 4)), labels=np.empty(0, dtype=int),
         )
-        assert local_round(LocalRule.sgd(), broadcast(np.zeros(model.dim)), client) is None
+        assert local_round(LocalRule("sgd"), server(np.zeros(model.dim)), client) is None
 
     def test_divergence_carries_context(self):
         client = quad_client(np.diag([4.0]), [0.0], cid=3)
-        bs = broadcast(np.array([1.0]), lr=200.0, steps=500, round_index=9)
+        state = server(np.array([1.0]), lr=200.0, round_index=9)
         with pytest.raises(DivergenceError) as err:
-            local_round(LocalRule.sgd(), bs, client)
+            local_round(LocalRule("sgd", local_steps=500), state, client)
         assert err.value.round_index == 9
         assert err.value.client_id == 3
         assert err.value.step > 0
