@@ -36,7 +36,6 @@ from .federation import (
 from .local import (
     ClientState,
     DivergenceError,
-    LocalRule,
     local_round,
     nsam_perturbation,
     sam_perturbation,

@@ -285,12 +285,11 @@ def build_problem(spec: ExperimentSpec, seed: int, dataset: Dataset | None = Non
     one client-specific objective each (diagonal curvatures in [0.3, 1.5],
     unit-scale centers), no eval data.
     """
-    fed = replace(spec.fed, seed=seed)
     if spec.model_kind == "quadratic":
         rng = rng_for(seed, "quad-ensemble")
         ensemble = [
             Quadratic(np.diag(rng.uniform(0.3, 1.5, spec.quad_dim)), rng.standard_normal(spec.quad_dim))
-            for _ in range(fed.n_clients)
+            for _ in range(spec.fed.n_clients)
         ]
         return quadratic_clients(ensemble), None, ensemble[0]
 
@@ -299,5 +298,5 @@ def build_problem(spec: ExperimentSpec, seed: int, dataset: Dataset | None = Non
         model = Mlp1(train.dim, spec.hidden, train.classes)
     else:
         model = SoftmaxLinear(train.classes, train.dim)
-    clients = clients_from_partition(model, train, shards, fed)
+    clients = clients_from_partition(model, train, shards, spec.fed)
     return clients, test, model

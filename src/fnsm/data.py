@@ -70,7 +70,7 @@ class DirichletSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.n_clients < 1:
             raise ValueError("need at least one client")
@@ -86,7 +86,7 @@ def synth_gaussian_mixture(
     is a seeded shuffle, so the same call always returns bit-identical
     arrays.
     """
-    if classes < 2 or dim < 1 or n < classes or spread <= 0:
+    if classes < 2 or dim < 1 or n < classes or not spread > 0:
         raise ValueError("need classes >= 2, dim >= 1, n >= classes, spread > 0")
     rng = rng_for(seed, "dataset")
     means = rng.standard_normal((classes, dim))

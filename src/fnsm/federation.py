@@ -20,12 +20,12 @@ fednsam use the momentum branch.
 
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import Dataset
-from .local import ClientState, LocalRule, local_round
+from .local import ClientState, local_round
 from .metrics import extrapolated_grad_norm, flatness_distance, global_sharpness, population_loss
 from .models import accuracy
 from .rng import rng_for
@@ -41,7 +41,6 @@ __all__ = [
     "server_update",
     "run_experiment",
     "initial_state",
-    "local_rule_for",
     "clients_from_partition",
     "quadratic_clients",
     "save_checkpoint",
@@ -92,6 +91,9 @@ class FedConfig:
     track_wall_time: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not 1 <= self.participation <= self.n_clients:
@@ -106,6 +108,11 @@ class FedConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+
+    @property
+    def local_rule(self) -> str:
+        """The local update rule kind the algorithm runs on each client."""
+        return _ALGORITHM_PARTS[self.algorithm][0]
 
 
 @dataclass
@@ -128,15 +135,6 @@ class RoundRecord:
     flatness_distance: float | None = None
     global_sharpness: float | None = None
     wall_time_ms: float | None = None
-
-
-def local_rule_for(cfg: FedConfig) -> LocalRule:
-    """The algorithm's local rule; each rule kind reads only the knobs it uses."""
-    kind, _ = _ALGORITHM_PARTS[cfg.algorithm]
-    return LocalRule(
-        kind, rho=cfg.rho, momentum=cfg.momentum, extrapolate=cfg.extrapolate,
-        local_steps=cfg.local_steps,
-    )
 
 
 def sample_clients(n_clients: int, participation: int, round_index: int, seed: int) -> list[int]:
@@ -210,8 +208,6 @@ def clients_from_partition(
             model=model,
             features=ds.features[idx],
             labels=ds.labels[idx],
-            seed=cfg.seed,
-            batch_size=cfg.batch_size,
         )
         for i, idx in enumerate(shards)
     ]
@@ -248,7 +244,6 @@ def run_experiment(
     cfg.validate()
     if len(clients) != cfg.n_clients:
         raise ValueError("len(clients) must equal cfg.n_clients")
-    rule = local_rule_for(cfg)
     model = clients[0].model
 
     if resume_from is not None:
@@ -263,14 +258,14 @@ def run_experiment(
     for t in range(state.round_index, cfg.rounds):
         started = time.perf_counter()
         sampled = sample_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
-        finals = {i: local_round(rule, state, clients[i]) for i in sampled}
+        finals = {i: local_round(cfg, state, clients[i]) for i in sampled}
         eval_round = (t + 1) % cfg.eval_every == 0
         if eval_round and cfg.full_flatness and cfg.track_flatness:
             # metric-only rounds, so that the dispersion covers every
             # client; they leave client memory as it was
             for i in range(cfg.n_clients):
                 if i not in finals:
-                    finals[i] = local_round(rule, state, clients[i], update_client_state=False)
+                    finals[i] = local_round(cfg, state, clients[i], update_client_state=False)
 
         deltas = [finals[i] - state.theta for i in sampled if finals[i] is not None]
         mean_delta = aggregate(deltas) if deltas else np.zeros_like(state.theta)

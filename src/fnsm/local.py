@@ -1,11 +1,13 @@
 """Per-client local training for one communication round.
 
-The client receives the server state of the round (theta, the server
-momentum m, the last aggregated displacement, the learning rate and the
-round index) and returns its model after K local steps. Five update
-rules share one loop; they differ only in how they build the ascent
-probe from what the server sent. With g(.) the minibatch gradient and
-lr the round's learning rate:
+The client reads two things: the run's ``federation.FedConfig`` (which
+rule its algorithm uses, rho, the momentum lambda, extrapolation on or
+off, K local steps, the seed and the batch size) and the round's
+``federation.ServerState`` (theta, the server momentum m, the last
+aggregated displacement, the learning rate and the round index). It
+returns its model after K local steps. Five update rules share one loop;
+they differ only in how they build the ascent probe from what the server
+sent. With g(.) the minibatch gradient and lr the round's learning rate:
 
   sgd     theta <- theta - lr * g(theta)
   sam     probe the ascent direction of the *local* gradient:
@@ -36,7 +38,6 @@ import numpy as np
 from .rng import rng_for
 
 __all__ = [
-    "LocalRule",
     "ClientState",
     "DivergenceError",
     "sam_perturbation",
@@ -45,8 +46,6 @@ __all__ = [
 ]
 
 ZERO_NORM = 1e-12  # below this, normalized directions fall back to zero
-
-_KINDS = ("sgd", "sam", "nsam", "mosam", "lesam")
 
 
 class DivergenceError(RuntimeError):
@@ -60,27 +59,6 @@ class DivergenceError(RuntimeError):
         self.round_index = round_index
         self.client_id = client_id
         self.step = step
-
-
-@dataclass(frozen=True)
-class LocalRule:
-    """Which per-step update runs on the client, with its knobs and K."""
-
-    kind: str
-    rho: float = 0.0
-    momentum: float = 0.0
-    extrapolate: bool = True
-    local_steps: int = 1
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown local rule {self.kind!r}")
-        if not self.rho >= 0:
-            raise ValueError("rho must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
 
 
 @dataclass
@@ -97,13 +75,7 @@ class ClientState:
     model: object
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
-    seed: int = 0
-    batch_size: int = 32
     old_global: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def n_samples(self) -> int:
-        return -1 if self.features is None else int(self.features.shape[0])
 
     @property
     def evaluable(self) -> bool:
@@ -115,17 +87,17 @@ class ClientState:
     def full_grad(self, theta) -> np.ndarray:
         return self.model.grad(theta, self.features, self.labels)
 
-    def batches(self, round_index: int):
-        """Endless minibatch stream for one round, reshuffled per epoch."""
+    def batches(self, cfg, round_index: int):
+        """Endless stream of cfg.batch_size minibatches, reshuffled per epoch."""
         if self.features is None:
             while True:
                 yield None, None
-        rng = rng_for(self.seed, "batch", self.client_id, round_index)
+        rng = rng_for(cfg.seed, "batch", self.client_id, round_index)
         n = self.features.shape[0]
         while True:
             order = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                take = order[start : start + self.batch_size]
+            for start in range(0, n, cfg.batch_size):
+                take = order[start : start + cfg.batch_size]
                 yield self.features[take], self.labels[take]
 
 
@@ -154,53 +126,57 @@ def nsam_perturbation(m: np.ndarray, rho: float) -> np.ndarray:
 
 
 def local_round(
-    rule: LocalRule, state, client: ClientState, update_client_state: bool = True
+    cfg, state, client: ClientState, update_client_state: bool = True
 ) -> np.ndarray | None:
     """Run K local steps from the server model; return the client's final model.
 
+    ``cfg`` is the run's ``federation.FedConfig``: the rule comes from
+    its algorithm (``cfg.local_rule``), and rho, momentum, extrapolate,
+    local_steps, seed and batch_size are read from it as they are.
     ``state`` is the round's ``federation.ServerState``; only its theta,
     momentum, last_delta, lr and round_index are read. Returns None for
     a client whose shard is empty (the caller skips it).
     ``update_client_state`` is turned off for metric-only evaluations so
     that lesam's participation memory only advances on real participation.
     """
-    if client.n_samples == 0:
+    if not client.evaluable:
         return None
+    kind = cfg.local_rule
     theta0 = np.asarray(state.theta, dtype=np.float64)
     theta = theta0.copy()
     lr = state.lr
 
-    if rule.kind == "nsam":
-        probe_offset = nsam_perturbation(state.momentum, rule.rho)
-        if rule.extrapolate:
-            probe_offset = probe_offset + rule.momentum * state.momentum
-    elif rule.kind == "lesam":
+    if kind == "nsam":
+        probe_offset = nsam_perturbation(state.momentum, cfg.rho)
+        if cfg.extrapolate:
+            probe_offset = probe_offset + cfg.momentum * state.momentum
+    elif kind == "lesam":
         if client.old_global is None:
             probe_offset = np.zeros_like(theta0)
         else:
-            probe_offset = sam_perturbation(client.old_global - theta0, rule.rho)
-    elif rule.kind == "mosam":
-        ghat = -state.last_delta / (lr * rule.local_steps)
+            probe_offset = sam_perturbation(client.old_global - theta0, cfg.rho)
+    elif kind == "mosam":
+        ghat = -state.last_delta / (lr * cfg.local_steps)
 
-    stream = client.batches(state.round_index)
+    stream = client.batches(cfg, state.round_index)
     # overflow is an anticipated failure mode, reported via DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(rule.local_steps):
+        for k in range(cfg.local_steps):
             X, y = next(stream)
-            if rule.kind == "sgd":
+            if kind == "sgd":
                 theta = theta - lr * client.model.grad(theta, X, y)
-            elif rule.kind == "sam":
-                d = sam_perturbation(client.model.grad(theta, X, y), rule.rho)
+            elif kind == "sam":
+                d = sam_perturbation(client.model.grad(theta, X, y), cfg.rho)
                 theta = theta - lr * client.model.grad(theta + d, X, y)
-            elif rule.kind == "mosam":
-                d = sam_perturbation(client.model.grad(theta, X, y), rule.rho)
+            elif kind == "mosam":
+                d = sam_perturbation(client.model.grad(theta, X, y), cfg.rho)
                 g_probe = client.model.grad(theta + d, X, y)
-                theta = theta - lr * (rule.momentum * g_probe + (1.0 - rule.momentum) * ghat)
+                theta = theta - lr * (cfg.momentum * g_probe + (1.0 - cfg.momentum) * ghat)
             else:  # nsam, lesam: shared probe offset, constant within the round
                 theta = theta - lr * client.model.grad(theta + probe_offset, X, y)
             if not np.isfinite(theta).all():
                 raise DivergenceError(state.round_index, client.client_id, k)
 
-    if update_client_state and rule.kind == "lesam":
+    if update_client_state and kind == "lesam":
         client.old_global = theta0
     return theta

@@ -67,7 +67,7 @@ def global_sharpness(clients, theta: np.ndarray, rho: float) -> float:
     reports the loss increase; 0 when the gradient is (near-)zero. This
     approximates the worst loss in a rho-ball with a single ascent step.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
     theta = np.asarray(theta, dtype=np.float64)
     g = population_grad(clients, theta)
@@ -117,26 +117,23 @@ def loss_surface_slice(
     seed: int,
     span: float,
     res: int,
-    blocks=None,
     directions=None,
 ) -> SurfaceGrid:
     """Evaluate the population loss on a res x res grid around theta.
 
     Two random directions are drawn from the seed, orthogonalized, and
-    filter-normalized per parameter block so slices of differently scaled
-    models are comparable. ``directions`` overrides the random draw (the
+    filter-normalized per parameter block (``clients[0].model.blocks()``)
+    so slices of differently scaled models are comparable. ``directions`` overrides the random draw (the
     override still goes through orthogonalization and normalization).
     Resolution must be odd so the exact center is a grid point.
     """
     if res < 3 or res % 2 == 0:
         raise ValueError("resolution must be odd and >= 3")
-    if span <= 0:
+    if not span > 0:
         raise ValueError("span must be positive")
     theta = np.asarray(theta, dtype=np.float64)
     d = theta.shape[0]
-    if blocks is None:
-        model = getattr(clients[0], "model", None)
-        blocks = model.blocks() if model is not None else [slice(0, d)]
+    blocks = clients[0].model.blocks()
     if directions is None:
         rng = rng_for(seed, "surface")
         u = rng.standard_normal(d)

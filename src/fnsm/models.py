@@ -243,7 +243,7 @@ def grad_check(model, theta, X=None, y=None, h: float = 1e-5) -> float:
     result carries that floor, and a ``RuntimeWarning`` says so and gives
     its size at theta.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError("step h must be positive")
     theta = np.asarray(theta, dtype=np.float64)
     analytic = model.grad(theta, X, y)

@@ -94,6 +94,8 @@ class TestSynthMixture:
             synth_gaussian_mixture(3, 2, 2, 0.1, 0)
         with pytest.raises(ValueError):
             synth_gaussian_mixture(2, 2, 10, 0.0, 0)
+        with pytest.raises(ValueError):
+            synth_gaussian_mixture(2, 2, 10, float("nan"), 0)
 
 
 class TestDirichletPartition:
@@ -157,6 +159,8 @@ class TestDirichletPartition:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             DirichletSpec(0.0, 3, seed=0)
+        with pytest.raises(ValueError):
+            DirichletSpec(float("nan"), 3, seed=0)
 
 
 class TestCsv:

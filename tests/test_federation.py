@@ -1,6 +1,6 @@
 """Server loop: sampling, aggregation, momentum, determinism, checkpoints."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,6 +28,8 @@ from fnsm import (
     train_test_split,
 )
 from fnsm.federation import initial_state
+
+FLOAT_FIELDS = [f.name for f in fields(FedConfig) if f.type is float]
 
 
 def small_problem(seed=11, n_clients=6):
@@ -242,11 +244,21 @@ class TestRunExperiment:
             small_cfg(algorithm="fedprox").validate()
         with pytest.raises(ValueError):
             small_cfg(momentum=1.0).validate()
+        with pytest.raises(ValueError):
+            small_cfg(rho=-1.0).validate()
+        with pytest.raises(ValueError):
+            small_cfg(local_steps=0).validate()
 
-    @pytest.mark.parametrize("field", ["lr0", "lr_decay", "rho", "momentum", "metric_rho"])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
     def test_nan_fails_validation(self, field):
         with pytest.raises(ValueError):
             small_cfg(**{field: float("nan")}).validate()
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_infinity_fails_validation(self, field):
+        for value in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=field):
+                small_cfg(**{field: value}).validate()
 
 
 class TestCheckpoints:

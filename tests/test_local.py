@@ -6,7 +6,7 @@ import pytest
 from fnsm import (
     ClientState,
     DivergenceError,
-    LocalRule,
+    FedConfig,
     Quadratic,
     ServerState,
     SoftmaxLinear,
@@ -30,17 +30,22 @@ def server(theta, momentum=None, last_delta=None, lr=0.1, round_index=0):
     )
 
 
+def fed(algorithm, rho=0.0, momentum=0.0, extrapolate=True, local_steps=1, seed=0, batch_size=8):
+    """The run settings local_round reads, with the local rule's knobs off by default."""
+    return FedConfig(
+        algorithm=algorithm, rho=rho, momentum=momentum, extrapolate=extrapolate,
+        local_steps=local_steps, seed=seed, batch_size=batch_size,
+    )
+
+
 def quad_client(A, c, cid=0):
     return ClientState(client_id=cid, model=Quadratic(np.asarray(A, float), np.asarray(c, float)))
 
 
-def data_client(seed=0, cid=0, batch_size=8, n=40):
+def data_client(seed=0, cid=0, n=40):
     ds = synth_gaussian_mixture(3, 4, n, 0.8, seed=seed)
     model = SoftmaxLinear(3, 4)
-    return ClientState(
-        client_id=cid, model=model, features=ds.features, labels=ds.labels,
-        seed=seed, batch_size=batch_size,
-    )
+    return ClientState(client_id=cid, model=model, features=ds.features, labels=ds.labels)
 
 
 class TestPerturbations:
@@ -73,23 +78,24 @@ class TestPerturbations:
 
 class TestRuleValidation:
     def test_bad_rho_and_momentum(self):
+        # the local rule's knobs are checked where local_round reads them: FedConfig
         with pytest.raises(ValueError):
-            LocalRule("sam", rho=-1.0)
+            fed("fedsam", rho=-1.0).validate()
         with pytest.raises(ValueError):
-            LocalRule("nsam", rho=0.1, momentum=1.0)
+            fed("fednsam", rho=0.1, momentum=1.0).validate()
         with pytest.raises(ValueError):
-            LocalRule("sam", rho=float("nan"))
+            fed("fedsam", rho=float("nan")).validate()
         with pytest.raises(ValueError):
-            LocalRule("sgd", local_steps=0)
+            fed("fedavg", local_steps=0).validate()
         with pytest.raises(ValueError):
-            LocalRule("newton")
+            fed("newton").validate()
 
 
 class TestSgdStep:
     def test_single_step_displacement(self):
         client = quad_client(np.eye(2), [1.0, -2.0])
         theta0 = np.array([0.5, 0.5])
-        final = local_round(LocalRule("sgd"), server(theta0, lr=0.1), client)
+        final = local_round(fed("fedavg"), server(theta0, lr=0.1), client)
         expect = -0.1 * (theta0 - np.array([1.0, -2.0]))
         assert np.allclose(final - theta0, expect, atol=1e-15)
 
@@ -97,8 +103,9 @@ class TestSgdStep:
         # exactly K = 7 plain steps over the round's batch stream
         client = data_client(seed=3)
         state = server(np.zeros(client.model.dim), lr=0.05, round_index=2)
-        final = local_round(LocalRule("sgd", local_steps=7), state, client)
-        stream = client.batches(2)
+        cfg = fed("fedavg", local_steps=7, seed=3)
+        final = local_round(cfg, state, client)
+        stream = client.batches(cfg, 2)
         theta = state.theta.copy()
         for _ in range(7):
             X, y = next(stream)
@@ -110,7 +117,7 @@ class TestSgdStep:
         A = np.diag([2.0, 0.5])
         client = quad_client(A, [0.0, 0.0])
         theta0 = np.array([1.0, 1.0])
-        final = local_round(LocalRule("sgd", local_steps=3), server(theta0, lr=0.4), client)
+        final = local_round(fed("fedavg", local_steps=3), server(theta0, lr=0.4), client)
         assert client.model.loss(final) < client.model.loss(theta0)
 
 
@@ -118,15 +125,15 @@ class TestReductions:
     def test_sam_zero_radius_equals_sgd(self):
         client_a, client_b = data_client(seed=5), data_client(seed=5)
         state = server(np.zeros(client_a.model.dim), lr=0.1)
-        a = local_round(LocalRule("sgd", local_steps=10), state, client_a)
-        b = local_round(LocalRule("sam", rho=0.0, local_steps=10), state, client_b)
+        a = local_round(fed("fedavg", local_steps=10, seed=5), state, client_a)
+        b = local_round(fed("fedsam", rho=0.0, local_steps=10, seed=5), state, client_b)
         assert np.array_equal(a, b)
 
     def test_nsam_all_zero_equals_sgd(self):
         client_a, client_b = data_client(seed=6), data_client(seed=6)
         state = server(np.zeros(client_a.model.dim), lr=0.1)
-        a = local_round(LocalRule("sgd", local_steps=10), state, client_a)
-        b = local_round(LocalRule("nsam", 0.0, 0.0, extrapolate=True, local_steps=10), state, client_b)
+        a = local_round(fed("fedavg", local_steps=10, seed=6), state, client_a)
+        b = local_round(fed("fednsam", 0.0, 0.0, extrapolate=True, local_steps=10, seed=6), state, client_b)
         assert np.array_equal(a, b)
 
 
@@ -135,7 +142,7 @@ class TestSamStep:
         # F = theta^2/2, theta0 = 1, lr = 0.1, rho = 0.1:
         # probe = 1.1, so theta1 = 1 - 0.1 * 1.1 = 0.89
         client = quad_client(np.eye(1), [0.0])
-        final = local_round(LocalRule("sam", rho=0.1), server(np.array([1.0]), lr=0.1), client)
+        final = local_round(fed("fedsam", rho=0.1), server(np.array([1.0]), lr=0.1), client)
         assert final[0] == pytest.approx(0.89, abs=1e-15)
 
 
@@ -148,7 +155,7 @@ class TestNsamStep:
         lam, rho, lr = 0.85, 0.1, 0.2
         client = quad_client(A, c)
         state = server(np.array([1.0, 1.0]), momentum=m, lr=lr)
-        final = local_round(LocalRule("nsam", rho, lam, extrapolate=True, local_steps=4), state, client)
+        final = local_round(fed("fednsam", rho, lam, extrapolate=True, local_steps=4), state, client)
 
         offset = lam * m + rho * (-m) / np.linalg.norm(m)
         theta = state.theta.copy()
@@ -160,7 +167,7 @@ class TestNsamStep:
         m = np.array([0.2, -0.1])
         client = quad_client(np.eye(2), [0.0, 0.0])
         state = server(np.array([1.0, 1.0]), momentum=m, lr=0.1)
-        final = local_round(LocalRule("nsam", 0.1, 0.85, extrapolate=False, local_steps=2), state, client)
+        final = local_round(fed("fednsam", 0.1, 0.85, extrapolate=False, local_steps=2), state, client)
 
         offset = 0.1 * (-m) / np.linalg.norm(m)
         theta = state.theta.copy()
@@ -176,7 +183,7 @@ class TestMoSamStep:
         lam, rho, lr, K = 0.85, 0.1, 0.1, 3
         client = quad_client(A, c)
         state = server(np.array([1.0, 0.5]), last_delta=last_delta, lr=lr)
-        final = local_round(LocalRule("mosam", rho, lam, local_steps=K), state, client)
+        final = local_round(fed("mofedsam", rho, lam, local_steps=K), state, client)
 
         ghat = -last_delta / (lr * K)
         theta = state.theta.copy()
@@ -191,8 +198,8 @@ class TestLesamStep:
     def test_first_participation_has_zero_perturbation(self):
         client_a, client_b = data_client(seed=7), data_client(seed=7)
         state = server(np.zeros(client_a.model.dim), lr=0.1)
-        a = local_round(LocalRule("sgd", local_steps=5), state, client_a)
-        b = local_round(LocalRule("lesam", rho=0.1, local_steps=5), state, client_b)
+        a = local_round(fed("fedavg", local_steps=5, seed=7), state, client_a)
+        b = local_round(fed("fedlesam", rho=0.1, local_steps=5, seed=7), state, client_b)
         assert np.array_equal(a, b)
         assert np.array_equal(client_b.old_global, state.theta)
 
@@ -201,7 +208,7 @@ class TestLesamStep:
         client = quad_client(A, c)
         client.old_global = np.array([1.0, 1.0])
         theta0 = np.array([0.2, 0.6])
-        final = local_round(LocalRule("lesam", rho=0.3, local_steps=2), server(theta0, lr=0.1), client)
+        final = local_round(fed("fedlesam", rho=0.3, local_steps=2), server(theta0, lr=0.1), client)
 
         drift = np.array([1.0, 1.0]) - theta0
         d = 0.3 * drift / np.linalg.norm(drift)
@@ -214,8 +221,8 @@ class TestLesamStep:
     def test_metric_only_run_keeps_memory(self):
         client = data_client(seed=8)
         client.old_global = np.full(client.model.dim, 0.25)
-        rule = LocalRule("lesam", rho=0.1, local_steps=2)
-        local_round(rule, server(np.zeros(client.model.dim), lr=0.1), client, update_client_state=False)
+        cfg = fed("fedlesam", rho=0.1, local_steps=2, seed=8)
+        local_round(cfg, server(np.zeros(client.model.dim), lr=0.1), client, update_client_state=False)
         assert np.array_equal(client.old_global, np.full(client.model.dim, 0.25))
 
 
@@ -226,20 +233,20 @@ class TestEdges:
             client_id=0, model=model,
             features=np.empty((0, 4)), labels=np.empty(0, dtype=int),
         )
-        assert local_round(LocalRule("sgd"), server(np.zeros(model.dim)), client) is None
+        assert local_round(fed("fedavg"), server(np.zeros(model.dim)), client) is None
 
     def test_divergence_carries_context(self):
         client = quad_client(np.diag([4.0]), [0.0], cid=3)
         state = server(np.array([1.0]), lr=200.0, round_index=9)
         with pytest.raises(DivergenceError) as err:
-            local_round(LocalRule("sgd", local_steps=500), state, client)
+            local_round(fed("fedavg", local_steps=500), state, client)
         assert err.value.round_index == 9
         assert err.value.client_id == 3
         assert err.value.step > 0
 
     def test_batches_cover_shard_without_replacement(self):
-        client = data_client(seed=9, batch_size=16, n=40)
-        stream = client.batches(round_index=0)
+        client = data_client(seed=9, n=40)
+        stream = client.batches(fed("fedavg", seed=9, batch_size=16), round_index=0)
         seen = []
         for _ in range(3):  # one epoch: 16 + 16 + 8
             X, _ = next(stream)
@@ -251,9 +258,9 @@ class TestEdges:
         assert np.array_equal(np.unique(stacked, axis=0), full)
 
     def test_batch_stream_keyed_by_round(self):
-        client = data_client(seed=10)
-        a = next(client.batches(round_index=0))[0]
-        b = next(client.batches(round_index=0))[0]
-        c = next(client.batches(round_index=1))[0]
+        client, cfg = data_client(seed=10), fed("fedavg", seed=10)
+        a = next(client.batches(cfg, round_index=0))[0]
+        b = next(client.batches(cfg, round_index=0))[0]
+        c = next(client.batches(cfg, round_index=1))[0]
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)

@@ -96,6 +96,8 @@ class TestGlobalSharpness:
         clients = quad_clients((np.eye(1), np.zeros(1)))
         with pytest.raises(ValueError):
             global_sharpness(clients, np.ones(1), 0.0)
+        with pytest.raises(ValueError):
+            global_sharpness(clients, np.ones(1), float("nan"))
 
 
 class TestExtrapolatedGradNorm:
@@ -131,7 +133,7 @@ class TestLossSurface:
     def test_center_cell_is_population_loss(self):
         ds = synth_gaussian_mixture(3, 4, 30, 0.7, seed=4)
         model = Mlp1(4, 5, 3)
-        client = ClientState(0, model, ds.features, ds.labels, seed=4)
+        client = ClientState(0, model, ds.features, ds.labels)
         theta = model.init_params(rng_for(4, "init"))
         grid = loss_surface_slice([client], theta, seed=9, span=0.5, res=5)
         assert grid.values[2, 2] == pytest.approx(client.full_loss(theta), abs=1e-10)
@@ -147,7 +149,7 @@ class TestLossSurface:
     def test_directions_are_block_scaled(self):
         ds = synth_gaussian_mixture(3, 4, 30, 0.7, seed=6)
         model = Mlp1(4, 5, 3)
-        client = ClientState(0, model, ds.features, ds.labels, seed=6)
+        client = ClientState(0, model, ds.features, ds.labels)
         theta = model.init_params(rng_for(6, "init"))
         grid = loss_surface_slice([client], theta, seed=3, span=0.5, res=3)
         for b in model.blocks():
@@ -167,6 +169,12 @@ class TestLossSurface:
         clients = quad_clients((np.eye(2), np.zeros(2)))
         with pytest.raises(ValueError):
             loss_surface_slice(clients, np.zeros(2), seed=0, span=1.0, res=4)
+
+    def test_nonpositive_span_rejected(self):
+        clients = quad_clients((np.eye(2), np.zeros(2)))
+        for span in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                loss_surface_slice(clients, np.zeros(2), seed=0, span=span, res=3)
 
     def test_file_roundtrip(self, tmp_path):
         clients = quad_clients((np.eye(2), np.array([0.2, -0.1])))

@@ -108,6 +108,8 @@ class TestGradCheck:
         q = Quadratic(np.eye(1), np.zeros(1))
         with pytest.raises(ValueError):
             grad_check(q, np.ones(1), h=0.0)
+        with pytest.raises(ValueError):
+            grad_check(q, np.ones(1), h=float("nan"))
 
     def test_warns_where_longdouble_is_float64(self, monkeypatch):
         monkeypatch.setattr(models, "_LONGDOUBLE_IS_EXTENDED", False)
