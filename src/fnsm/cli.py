@@ -20,15 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (
-    ConfigError,
-    ExperimentSpec,
-    build_problem,
-    client_data,
-    parse_config,
-    read_dataset,
-)
-from .data import Dataset, DatasetFormatError
+from .config import ConfigError, ExperimentSpec, build_problem, parse_config, read_dataset
+from .data import DatasetFormatError
 from .federation import ALGORITHMS, RoundRecord, load_checkpoint, run_experiment
 from .local import DivergenceError
 from .metrics import loss_surface_slice, write_surface
@@ -73,26 +66,30 @@ def read_records(path) -> list[RoundRecord]:
     return records
 
 
-def _run_one(
-    spec: ExperimentSpec, algorithm: str, seed: int, out_dir: str, dataset: Dataset | None
-) -> list[RoundRecord]:
-    """Run one (algorithm, seed), write its CSV and print the path; return its records."""
-    run_spec = spec.for_run(algorithm, seed)
-    clients, eval_data, _ = build_problem(run_spec, seed, dataset)
-    ckpt = None
-    if spec.checkpoint_every > 0:
-        ckpt = os.path.join(out_dir, f"{algorithm}_seed{seed}.ckpt")
-    records, _ = run_experiment(
-        run_spec.fed,
-        clients,
-        eval_data=eval_data,
-        checkpoint_path=ckpt,
-        checkpoint_every=spec.checkpoint_every,
-    )
-    path = os.path.join(out_dir, f"{algorithm}_seed{seed}.csv")
-    write_records(path, records, run_spec)
-    print(path)
-    return records
+def _sweep(spec: ExperimentSpec, algorithms: list[str]) -> list[list[list[RoundRecord]]]:
+    """Run each (algorithm, seed) in order, writing and printing its CSV (and
+    its checkpoint); return the records by algorithm, then seed."""
+    os.makedirs(spec.out_dir, exist_ok=True)
+    dataset = read_dataset(spec)
+    by_algorithm = []
+    for algorithm in algorithms:
+        runs = []
+        for seed in spec.seeds:
+            run_spec = spec.for_run(algorithm, seed)
+            clients, eval_data, _ = build_problem(run_spec, dataset)
+            stem = os.path.join(spec.out_dir, f"{algorithm}_seed{seed}")
+            records, _ = run_experiment(
+                run_spec.fed,
+                clients,
+                eval_data=eval_data,
+                checkpoint_path=stem + ".ckpt" if spec.checkpoint_every > 0 else None,
+                checkpoint_every=spec.checkpoint_every,
+            )
+            write_records(stem + ".csv", records, run_spec)
+            print(stem + ".csv")
+            runs.append(records)
+        by_algorithm.append(runs)
+    return by_algorithm
 
 
 def _parse(args) -> ExperimentSpec:
@@ -105,10 +102,7 @@ def _parse(args) -> ExperimentSpec:
 
 def cmd_run(args) -> int:
     spec = _parse(args)
-    os.makedirs(spec.out_dir, exist_ok=True)
-    dataset = read_dataset(spec)
-    for seed in spec.seeds:
-        _run_one(spec, spec.fed.algorithm, seed, spec.out_dir, dataset)
+    _sweep(spec, [spec.fed.algorithm])
     return EXIT_OK
 
 
@@ -123,14 +117,15 @@ def final_window_mean(records: list[RoundRecord], metric: str, window: int = 20)
 def cmd_compare(args) -> int:
     spec = _parse(args)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    for a in algos:
+    if not algos:
+        raise ConfigError(f"--algos {args.algos!r}: name at least one algorithm")
+    for i, a in enumerate(algos):
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}")
-    os.makedirs(spec.out_dir, exist_ok=True)
-    dataset = read_dataset(spec)
+        if a in algos[:i]:
+            raise ConfigError(f"--algos names {a!r} twice")
     table = []
-    for algo in algos:
-        runs = [_run_one(spec, algo, seed, spec.out_dir, dataset) for seed in spec.seeds]
+    for algo, runs in zip(algos, _sweep(spec, algos)):
         row = [algo]
         for m in SUMMARY_METRICS:
             vals = [v for v in (final_window_mean(r, m) for r in runs) if v is not None]
@@ -158,7 +153,7 @@ def cmd_surface(args) -> int:
         raise ConfigError("--range must be positive and finite")
     seed = spec.seeds[0]
     run_spec = spec.for_run(spec.fed.algorithm, seed)
-    clients, _, model = build_problem(run_spec, seed)
+    clients, _, model = build_problem(run_spec)
     try:
         state = load_checkpoint(args.ckpt, run_spec.fed)
     except ValueError as exc:  # load_checkpoint raises it only for a malformed file
@@ -180,13 +175,15 @@ def cmd_partition(args) -> int:
     if spec.model_kind == "quadratic":
         raise ConfigError("partition applies to dataset-backed experiments only")
     seed = spec.seeds[0]
-    train, _, shards = client_data(spec, seed)
-    print(f"# {train.n} training samples, {train.classes} classes, alpha={spec.alpha}, seed={seed}")
-    header = "client  total  " + "  ".join(f"c{k}" for k in range(train.classes))
+    clients, _, model = build_problem(spec.for_run(spec.fed.algorithm, seed))
+    n = sum(len(c.labels) for c in clients)
+    print(f"# {n} training samples, {model.classes} classes, alpha={spec.alpha}, seed={seed}")
+    header = "client  total  " + "  ".join(f"c{k}" for k in range(model.classes))
     print(header)
-    for i, idx in enumerate(shards):
-        counts = np.bincount(train.labels[idx], minlength=train.classes)
-        print(f"{i:6d}  {len(idx):5d}  " + "  ".join(f"{c:>{len(f'c{k}')}d}" for k, c in enumerate(counts)))
+    for c in clients:
+        counts = np.bincount(c.labels, minlength=model.classes)
+        print(f"{c.client_id:6d}  {len(c.labels):5d}  "
+              + "  ".join(f"{count:>{len(f'c{k}')}d}" for k, count in enumerate(counts)))
     return EXIT_OK
 
 

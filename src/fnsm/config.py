@@ -1,10 +1,10 @@
 """Experiment files: flat `key = value` text with dotted sections.
 
 The format is deliberately diff-friendly for sweeps: one assignment per
-line, `#` starts a comment, unknown keys are rejected with their line
-number. `resolved_lines` round-trips the fully resolved configuration;
-its hash is stamped into every emitted file so results are
-self-describing. Keys that cannot change results (output directory,
+line, `#` starts a comment, an unknown key or a key set twice is
+rejected with its line number. `resolved_lines` round-trips the fully
+resolved configuration; its hash is stamped into every emitted file so
+results are self-describing. Keys that cannot change results (output directory,
 checkpoint cadence) stay out of the dump and the hash.
 
 `_KEYS` is the one place to add a key: it names the attribute the key
@@ -34,7 +34,6 @@ __all__ = [
     "ExperimentSpec",
     "parse_config",
     "read_dataset",
-    "client_data",
     "build_problem",
 ]
 
@@ -211,6 +210,7 @@ def _assign(spec_kw: dict, fed_kw: dict, key: str, raw: str, where: str) -> None
 def parse_config(path, overrides: list[str] | None = None) -> ExperimentSpec:
     """Parse an experiment file, apply `key=value` overrides, validate.
 
+    A key may be set once in the file; an override may set it again.
     Raises ConfigError naming the offending line or override on any
     problem, including constraint violations after resolution.
     """
@@ -221,6 +221,7 @@ def parse_config(path, overrides: list[str] | None = None) -> ExperimentSpec:
         raise ConfigError(f"{path}: cannot read file ({exc})") from exc
     spec_kw: dict = {}
     fed_kw: dict = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -228,6 +229,9 @@ def parse_config(path, overrides: list[str] | None = None) -> ExperimentSpec:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         _assign(spec_kw, fed_kw, key, raw, f"{path}:{lineno}")
     for ov in overrides or []:
         if "=" not in ov:
@@ -253,50 +257,47 @@ def read_dataset(spec: ExperimentSpec) -> Dataset | None:
     return load_csv(spec.csv_path)
 
 
-def client_data(spec: ExperimentSpec, seed: int, dataset: Dataset | None = None):
-    """The (train, test, shards) of one seed's run.
+def build_problem(run_spec: ExperimentSpec, dataset: Dataset | None = None):
+    """Materialize (clients, eval_data, model) for one run.
 
-    Loads the CSV file or generates the Gaussian mixture, holds out the
-    test fraction and partitions the training part by the Dirichlet draw.
-    ``dataset`` is what ``read_dataset(spec)`` returned; passing it lets
-    every run of a command share one read of the file.
+    The seed is the run spec's own, ``run_spec.fed.seed`` (see ``for_run``).
+    Classification: the CSV file is read (``dataset``, when given, is what
+    ``read_dataset`` returned, shared by a command's runs) or the Gaussian
+    mixture generated, the test fraction held out, and the training part
+    partitioned by the Dirichlet draw, one client per shard. Quadratic: one
+    objective per client (diagonal curvatures in [0.3, 1.5], unit-scale
+    centers), no eval data.
     """
-    ds = dataset if dataset is not None else read_dataset(spec)
-    if ds is None:
-        try:
-            ds = synth_gaussian_mixture(spec.classes, spec.dim, spec.n_samples, spec.spread, seed)
-        except ValueError as exc:  # validate() has passed, so spread is to blame: nan or huge
-            raise ConfigError(f"data.spread = {spec.spread!r}: {exc}") from exc
-    try:
-        train, test = train_test_split(ds, spec.test_fraction, seed)
-    except ValueError as exc:
-        raise ConfigError(
-            f"data.test_fraction = {spec.test_fraction!r}: {exc} of {ds.n} samples"
-        ) from exc
-    shards = dirichlet_partition(train, DirichletSpec(spec.alpha, spec.fed.n_clients, seed))
-    return train, test, shards
-
-
-def build_problem(spec: ExperimentSpec, seed: int, dataset: Dataset | None = None):
-    """Materialize (clients, eval_data, model) for one seed.
-
-    Classification: the split and partition of ``client_data`` (which
-    ``dataset`` is passed on to), each shard bound to a client. Quadratic:
-    one client-specific objective each (diagonal curvatures in [0.3, 1.5],
-    unit-scale centers), no eval data.
-    """
-    if spec.model_kind == "quadratic":
+    seed = run_spec.fed.seed
+    if run_spec.model_kind == "quadratic":
         rng = rng_for(seed, "quad-ensemble")
+        d = run_spec.quad_dim
         ensemble = [
-            Quadratic(np.diag(rng.uniform(0.3, 1.5, spec.quad_dim)), rng.standard_normal(spec.quad_dim))
-            for _ in range(spec.fed.n_clients)
+            Quadratic(np.diag(rng.uniform(0.3, 1.5, d)), rng.standard_normal(d))
+            for _ in range(run_spec.fed.n_clients)
         ]
         return quadratic_clients(ensemble), None, ensemble[0]
 
-    train, test, shards = client_data(spec, seed, dataset)
-    if spec.model_kind == "mlp":
-        model = Mlp1(train.dim, spec.hidden, train.classes)
+    ds = dataset if dataset is not None else read_dataset(run_spec)
+    if ds is None:
+        try:
+            ds = synth_gaussian_mixture(
+                run_spec.classes, run_spec.dim, run_spec.n_samples, run_spec.spread, seed
+            )
+        except ValueError as exc:  # validate() has passed, so spread is to blame: nan or huge
+            raise ConfigError(f"data.spread = {run_spec.spread!r}: {exc}") from exc
+    try:
+        train, test = train_test_split(ds, run_spec.test_fraction, seed)
+    except ValueError as exc:
+        raise ConfigError(
+            f"data.test_fraction = {run_spec.test_fraction!r}: {exc} of {ds.n} samples"
+        ) from exc
+    shards = dirichlet_partition(
+        train, DirichletSpec(run_spec.alpha, run_spec.fed.n_clients, seed)
+    )
+    if run_spec.model_kind == "mlp":
+        model = Mlp1(train.dim, run_spec.hidden, train.classes)
     else:
         model = SoftmaxLinear(train.classes, train.dim)
-    clients = clients_from_partition(model, train, shards, spec.fed)
+    clients = clients_from_partition(model, train, shards, run_spec.fed)
     return clients, test, model

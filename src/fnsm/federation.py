@@ -222,7 +222,6 @@ def run_experiment(
     cfg: FedConfig,
     clients: list[ClientState],
     eval_data: Dataset | None = None,
-    theta0: np.ndarray | None = None,
     resume_from: ServerState | None = None,
     checkpoint_path=None,
     checkpoint_every: int = 0,
@@ -237,9 +236,13 @@ def run_experiment(
     ``on_round(state)`` is invoked after every server update for callers
     that track custom per-round quantities.
 
+    Training starts from ``resume_from`` when given, else from round 0
+    with the model's seeded initialization. Resuming from a checkpointed
+    state replays the remaining rounds exactly as the uninterrupted run
+    would have; a caller that wants another start passes its own
+    ``ServerState`` (``initial_state`` with theta set).
+
     Returns the records for the executed rounds and the final state.
-    Resuming from a checkpointed state replays the remaining rounds
-    exactly as the uninterrupted run would have.
     """
     cfg.validate()
     if len(clients) != cfg.n_clients:
@@ -249,10 +252,8 @@ def run_experiment(
     if resume_from is not None:
         state = resume_from
     else:
-        if theta0 is None:
-            theta0 = model.init_params(rng_for(cfg.seed, "init"))
         state = initial_state(cfg, model.dim)
-        state.theta = np.asarray(theta0, dtype=np.float64).copy()
+        state.theta = model.init_params(rng_for(cfg.seed, "init"))
 
     records: list[RoundRecord] = []
     for t in range(state.round_index, cfg.rounds):

@@ -5,25 +5,25 @@ rule its algorithm uses, rho, the momentum lambda, extrapolation on or
 off, K local steps, the seed and the batch size) and the round's
 ``federation.ServerState`` (theta, the server momentum m, the last
 aggregated displacement, the learning rate and the round index). It
-returns its model after K local steps. Five update rules share one loop;
-they differ only in how they build the ascent probe from what the server
-sent. With g(.) the minibatch gradient and lr the round's learning rate:
+returns its model after K local steps, every rule taking the same step
+with g(.) the minibatch gradient and lr the round's learning rate:
 
-  sgd     theta <- theta - lr * g(theta)
-  sam     probe the ascent direction of the *local* gradient:
-          d = rho * g(theta)/|g(theta)|, theta <- theta - lr * g(theta + d)
-  nsam    probe a *shared* direction built from the server momentum m:
-          d = rho * (-m)/|m|, offset = momentum * m (when extrapolating),
-          theta <- theta - lr * g(theta + offset + d)
-  mosam   local SAM gradient blended with the server's step-normalized
-          pseudo-gradient: theta <- theta - lr * (momentum * g(theta + d)
-          + (1 - momentum) * ghat), ghat = -last_delta / (lr * K)
-  lesam   perturb along the drift between the last-received and current
-          global model: d = rho * (old_global - theta0)/|.|
+  theta <- theta - lr * blend(g(probe))
 
-The nsam probe offset and perturbation depend only on the server state,
-so they are constant across all K steps and across clients within a
-round; sam recomputes its perturbation from each step's own gradient.
+The rules differ only in the probe, with N(v) = rho * v/|v| (zero when
+|v| is near zero), and only mosam blends (elsewhere blend(g) = g):
+
+  sgd     probe = theta
+  sam     probe = theta + N(g(theta)), the client's own gradient
+  mosam   as sam; blend(g) = momentum * g + (1 - momentum) * ghat, with
+          ghat = -last_delta / (lr * K) the server's pseudo-gradient
+  nsam    probe = theta + offset, offset = N(-m), the negated global
+          momentum (+ momentum * m when extrapolating)
+  lesam   probe = theta + offset, offset = N(old_global - theta0), the
+          drift between the last-received and current global model
+
+The offsets depend only on what the server sent, so they are fixed for
+the round; sam and mosam recompute the probe from each step's gradient.
 
 Each client draws batches from a stream keyed by (seed, client, round):
 a fresh without-replacement shuffle per local epoch, short final batch
@@ -101,14 +101,19 @@ class ClientState:
                 yield self.features[take], self.labels[take]
 
 
-def sam_perturbation(g: np.ndarray, rho: float) -> np.ndarray:
-    """rho * g / |g|, or zero when the gradient has (near-)zero norm."""
+def _normalized(v: np.ndarray, rho: float) -> np.ndarray:
+    """rho * v / |v|, or zero when v has (near-)zero norm."""
     if not rho >= 0:
         raise ValueError("rho must be >= 0")
-    norm = float(np.linalg.norm(g))
+    norm = float(np.linalg.norm(v))
     if norm < ZERO_NORM:
-        return np.zeros_like(g)
-    return (rho / norm) * g
+        return np.zeros_like(v)
+    return (rho / norm) * v
+
+
+def sam_perturbation(g: np.ndarray, rho: float) -> np.ndarray:
+    """rho * g / |g|, or zero when the gradient has (near-)zero norm."""
+    return _normalized(g, rho)
 
 
 def nsam_perturbation(m: np.ndarray, rho: float) -> np.ndarray:
@@ -117,12 +122,7 @@ def nsam_perturbation(m: np.ndarray, rho: float) -> np.ndarray:
     The momentum accumulates descent displacements, so its negation points
     up the loss surface, which is the direction an ascent probe needs.
     """
-    if not rho >= 0:
-        raise ValueError("rho must be >= 0")
-    norm = float(np.linalg.norm(m))
-    if norm < ZERO_NORM:
-        return np.zeros_like(m)
-    return (-rho / norm) * m
+    return _normalized(-m, rho)
 
 
 def local_round(
@@ -142,38 +142,38 @@ def local_round(
     if not client.evaluable:
         return None
     kind = cfg.local_rule
-    theta0 = np.asarray(state.theta, dtype=np.float64)
-    theta = theta0.copy()
+    theta = theta0 = np.asarray(state.theta, dtype=np.float64)
     lr = state.lr
 
+    offset = ghat = None  # a probe offset fixed for the round; mosam's blend target
     if kind == "nsam":
-        probe_offset = nsam_perturbation(state.momentum, cfg.rho)
+        offset = nsam_perturbation(state.momentum, cfg.rho)
         if cfg.extrapolate:
-            probe_offset = probe_offset + cfg.momentum * state.momentum
+            offset = offset + cfg.momentum * state.momentum
     elif kind == "lesam":
         if client.old_global is None:
-            probe_offset = np.zeros_like(theta0)
+            offset = np.zeros_like(theta0)
         else:
-            probe_offset = sam_perturbation(client.old_global - theta0, cfg.rho)
+            offset = sam_perturbation(client.old_global - theta0, cfg.rho)
     elif kind == "mosam":
         ghat = -state.last_delta / (lr * cfg.local_steps)
+    own_probe = kind in ("sam", "mosam")
 
     stream = client.batches(cfg, state.round_index)
     # overflow is an anticipated failure mode, reported via DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(cfg.local_steps):
             X, y = next(stream)
-            if kind == "sgd":
-                theta = theta - lr * client.model.grad(theta, X, y)
-            elif kind == "sam":
-                d = sam_perturbation(client.model.grad(theta, X, y), cfg.rho)
-                theta = theta - lr * client.model.grad(theta + d, X, y)
-            elif kind == "mosam":
-                d = sam_perturbation(client.model.grad(theta, X, y), cfg.rho)
-                g_probe = client.model.grad(theta + d, X, y)
-                theta = theta - lr * (cfg.momentum * g_probe + (1.0 - cfg.momentum) * ghat)
-            else:  # nsam, lesam: shared probe offset, constant within the round
-                theta = theta - lr * client.model.grad(theta + probe_offset, X, y)
+            if offset is not None:
+                probe = theta + offset
+            elif own_probe:
+                probe = theta + sam_perturbation(client.model.grad(theta, X, y), cfg.rho)
+            else:
+                probe = theta
+            g = client.model.grad(probe, X, y)
+            if ghat is not None:
+                g = cfg.momentum * g + (1.0 - cfg.momentum) * ghat
+            theta = theta - lr * g
             if not np.isfinite(theta).all():
                 raise DivergenceError(state.round_index, client.client_id, k)
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .local import ZERO_NORM, sam_perturbation
 from .rng import rng_for
 
 __all__ = [
@@ -22,8 +23,6 @@ __all__ = [
     "write_surface",
     "read_surface",
 ]
-
-ZERO_NORM = 1e-12
 
 SURFACE_HEADER = "# fnsm-surface v1"
 
@@ -61,20 +60,18 @@ def population_grad(clients, theta: np.ndarray) -> np.ndarray:
 
 
 def global_sharpness(clients, theta: np.ndarray, rho: float) -> float:
-    """One-ascent-step sharpness proxy of the population loss.
+    """Loss rise of the population under the SAM probe of its own gradient.
 
-    Climbs distance rho along the normalized population gradient and
-    reports the loss increase; 0 when the gradient is (near-)zero. This
-    approximates the worst loss in a rho-ball with a single ascent step.
+    With g the population gradient at theta, this is
+    population_loss(theta + sam_perturbation(g, rho)) - population_loss(theta):
+    one ascent step of length rho approximates the worst loss in a
+    rho-ball. It is 0 when g is (near-)zero, since the probe is then zero.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
     theta = np.asarray(theta, dtype=np.float64)
-    g = population_grad(clients, theta)
-    norm = float(np.linalg.norm(g))
-    if norm < ZERO_NORM:
-        return 0.0
-    return population_loss(clients, theta + (rho / norm) * g) - population_loss(clients, theta)
+    d = sam_perturbation(population_grad(clients, theta), rho)
+    return population_loss(clients, theta + d) - population_loss(clients, theta)
 
 
 def extrapolated_grad_norm(clients, theta, momentum_vec, momentum: float) -> float:

@@ -184,6 +184,23 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(p, ["fed.rounds"])
 
+    def test_key_set_twice_names_key_and_both_lines(self, tmp_path):
+        p = write(tmp_path, "twice.cfg", "fed.rounds = 3\nfed.lr = 0.1\nfed.rounds = 4\n")
+        with pytest.raises(ConfigError, match=r":3: fed.rounds is already set on line 1"):
+            parse_config(p)
+
+    def test_set_then_out_and_seeds_override_the_file(self, tmp_path):
+        p = write(tmp_path, "q.cfg", QUAD_CFG + "run.out = here\n")
+        args = fnsm.cli.build_parser().parse_args(
+            ["compare", "--config", p, "--algos", "fedavg", "--set", "fed.rounds=5",
+             "--set", "fed.rounds=6", "--set", "run.seeds=4", "--set", "run.out=there",
+             "--seeds", "2,3", "--out", "elsewhere"]
+        )
+        spec = fnsm.cli._parse(args)
+        assert spec.fed.rounds == 6
+        assert spec.seeds == (2, 3)
+        assert spec.out_dir == "elsewhere"
+
     def test_removed_threads_key_names_line(self, tmp_path):
         p = write(tmp_path, "old.cfg", "fed.lr = 0.1\nrun.threads = 2\n")
         with pytest.raises(ConfigError, match=r":2: unknown key 'run.threads'"):
@@ -232,6 +249,11 @@ class TestCmdRun:
         a = (tmp_path / "a" / "fednsam_seed7.csv").read_bytes()
         b = (tmp_path / "b" / "fednsam_seed7.csv").read_bytes()
         assert a == b
+
+    def test_key_set_twice_exits_2_naming_it(self, tmp_path, capsys):
+        p = write(tmp_path, "q.cfg", QUAD_CFG + "fed.rounds = 4\n")
+        assert main(["run", "--config", p, "--out", str(tmp_path / "o")]) == 2
+        assert "fed.rounds is already set on line 7" in capsys.readouterr().err
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         p = write(tmp_path, "q.cfg", QUAD_CFG)
@@ -364,6 +386,18 @@ class TestCmdCompare:
         assert main(["compare", "--config", p, "--algos", "fedprox",
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "algos, named",
+        [("", "--algos"), (" , ", "--algos"), ("fedavg,fedavg", "'fedavg' twice")],
+        ids=["empty", "blank", "repeated"],
+    )
+    def test_empty_or_repeated_algos_exit_2_naming_them(self, tmp_path, capsys, algos, named):
+        p = write(tmp_path, "q.cfg", QUAD_CFG)
+        out = tmp_path / "x"
+        assert main(["compare", "--config", p, "--algos", algos, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()  # nothing ran and no summary was written
+
 
 class TestCmdSurface:
     def setup_ckpt(self, tmp_path):
@@ -384,7 +418,7 @@ class TestCmdSurface:
         from fnsm.metrics import population_loss
 
         spec = parse_config(cfg)
-        clients, _, _ = build_problem(spec.for_run("fednsam", 7), 7)
+        clients, _, _ = build_problem(spec.for_run("fednsam", 7))
         state = load_checkpoint(ckpt, spec.fed)
         assert values[2, 2] == pytest.approx(population_loss(clients, state.theta), abs=1e-10)
 
@@ -456,3 +490,12 @@ class TestCmdPartition:
     def test_quadratic_config_rejected(self, tmp_path):
         p = write(tmp_path, "q.cfg", QUAD_CFG)
         assert main(["partition", "--config", p]) == 2
+
+    def test_rows_are_the_shards_the_run_trains_on(self, tmp_path, capsys):
+        p = write(tmp_path, "m.cfg", MIX_CFG)
+        assert main(["partition", "--config", p, "--set", "run.seeds=3,4"]) == 0
+        rows = [[int(v) for v in ln.split()] for ln in capsys.readouterr().out.splitlines()[2:]]
+        clients, _, _ = build_problem(parse_config(p).for_run("fednsam", 3))
+        assert rows == [
+            [c.client_id, len(c.labels), *np.bincount(c.labels, minlength=3)] for c in clients
+        ]

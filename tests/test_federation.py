@@ -225,10 +225,10 @@ class TestRunExperiment:
         ]
         cfg = small_cfg(n_clients=3, participation=3, rounds=4, track_flatness=True,
                         track_sharpness=False, track_grad_norm=False, eval_every=2)
-        theta0 = np.zeros(model.dim)
-        recs, state = run_experiment(cfg, clients, theta0=theta0)
+        start = initial_state(cfg, model.dim)
+        recs, state = run_experiment(cfg, clients, resume_from=start)
         assert state.round_index == 4
-        assert np.array_equal(state.theta, theta0)
+        assert np.array_equal(state.theta, np.zeros(model.dim))
         assert len(recs) == 4
 
     def test_wall_time_off_by_default_and_on_when_asked(self):
@@ -262,8 +262,24 @@ class TestRunExperiment:
 
 
 class TestCheckpoints:
-    def test_roundtrip_and_resume_equivalence(self, tmp_path):
-        cfg = small_cfg(algorithm="fednsam", rho=0.1, momentum=0.85, rounds=10, eval_every=2)
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            pytest.param(
+                a,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="checkpoint v1 drops each client's old_global, so a fedlesam "
+                    "resume drifts from the uninterrupted run (ROADMAP must-fix 2)",
+                ),
+            )
+            if a == "fedlesam"
+            else a
+            for a in ALGORITHMS
+        ],
+    )
+    def test_roundtrip_and_resume_equivalence(self, tmp_path, algorithm):
+        cfg = small_cfg(algorithm=algorithm, rho=0.1, momentum=0.85, rounds=10, eval_every=2)
         full_recs, full_state = run(cfg)
 
         ck = tmp_path / "half.ckpt"

@@ -67,6 +67,13 @@ class TestPerturbations:
     def test_nsam_three_four_five_negated(self):
         assert np.allclose(nsam_perturbation(np.array([3.0, 4.0]), 1.0), [-0.6, -0.8], atol=1e-15)
 
+    def test_nsam_is_sam_of_negated_momentum_bit_exactly(self):
+        rng = rng_for(5, "probe")
+        for _ in range(20):
+            m = rng.standard_normal(7) * float(rng.uniform(1e-3, 1e3))
+            rho = float(rng.uniform(0.0, 2.0))
+            assert np.array_equal(nsam_perturbation(m, rho), sam_perturbation(-m, rho))
+
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError):
             sam_perturbation(np.ones(2), -0.1)

@@ -13,9 +13,11 @@ from fnsm import (
     loss_surface_slice,
     read_surface,
     rng_for,
+    sam_perturbation,
     synth_gaussian_mixture,
     write_surface,
 )
+from fnsm.metrics import population_grad, population_loss
 
 
 def quad_clients(*pairs):
@@ -79,6 +81,17 @@ class TestGlobalSharpness:
         clients = quad_clients((np.eye(1), np.zeros(1)))
         got = global_sharpness(clients, np.array([1.0]), 0.1)
         assert got == pytest.approx(0.105, abs=1e-12)
+
+    def test_is_loss_rise_under_sam_probe_of_population_gradient(self):
+        rng = rng_for(4, "sharp-probe")
+        clients = quad_clients(
+            (np.diag([2.0, 0.5, 1.0]), rng.standard_normal(3)),
+            (np.diag([0.3, 1.5, 0.8]), rng.standard_normal(3)),
+        )
+        theta = rng.standard_normal(3)
+        probe = theta + sam_perturbation(population_grad(clients, theta), 0.2)
+        expect = population_loss(clients, probe) - population_loss(clients, theta)
+        assert global_sharpness(clients, theta, 0.2) == expect
 
     def test_zero_at_stationary_point(self):
         clients = quad_clients((np.diag([2.0, 1.0]), np.array([0.3, -0.4])))
