@@ -94,8 +94,8 @@ def _sweep(spec: ExperimentSpec, algorithms: list[str]) -> list[list[list[RoundR
 
 def _parse(args) -> ExperimentSpec:
     """The experiment file with --set, then --out and --seeds, as overrides."""
-    flags = [f"run.out={args.out}"] if args.out else []
-    if getattr(args, "seeds", None):
+    flags = [f"run.out={args.out}"] if args.out is not None else []
+    if getattr(args, "seeds", None) is not None:
         flags.append(f"run.seeds={args.seeds}")
     return parse_config(args.config, args.set + flags)
 

@@ -88,6 +88,8 @@ class ExperimentSpec:
             raise ConfigError("model.quad_dim must be >= 1")
         if not self.seeds:
             raise ConfigError("run.seeds must list at least one seed")
+        if not self.out_dir:
+            raise ConfigError("run.out must name a directory")
         if self.checkpoint_every < 0:
             raise ConfigError("run.checkpoint_every must be >= 0")
 
@@ -180,7 +182,10 @@ def _read_float(raw: str) -> float:
 
 
 def _read_seeds(raw: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in raw.split(",") if s.strip())
+    seeds = tuple(int(s) for s in raw.split(",") if s.strip())
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(raw)
+    return seeds
 
 
 # type of a key's default -> (reader, what a value the reader rejects should be)
@@ -189,7 +194,7 @@ _READERS = {
     int: (int, "an integer"),
     float: (_read_float, "a finite number"),
     str: (str, "text"),
-    tuple: (_read_seeds, "comma-separated integers"),
+    tuple: (_read_seeds, "distinct comma-separated integers"),
 }
 _DEFAULTS = ExperimentSpec()
 

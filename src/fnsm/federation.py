@@ -20,12 +20,12 @@ fednsam use the momentum branch.
 
 import struct
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .data import Dataset
-from .local import ClientState, local_round
+from .local import ClientState, DivergenceError, local_round
 from .metrics import extrapolated_grad_norm, flatness_distance, global_sharpness, population_loss
 from .models import accuracy
 from .rng import rng_for
@@ -122,6 +122,9 @@ class ServerState:
     last_delta: np.ndarray
     round_index: int
     lr: float
+    # client id -> the theta it received at its last real participation;
+    # lesam's probe reads it, and only lesam rounds write it
+    last_seen: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -182,6 +185,7 @@ def server_update(state: ServerState, mean_delta: np.ndarray, cfg: FedConfig) ->
         last_delta=mean_delta,
         round_index=state.round_index + 1,
         lr=state.lr * cfg.lr_decay,
+        last_seen=state.last_seen,
     )
 
 
@@ -202,15 +206,7 @@ def clients_from_partition(
     """One ClientState per shard, all sharing the same model family."""
     if len(shards) != cfg.n_clients:
         raise ValueError("partition size does not match cfg.n_clients")
-    return [
-        ClientState(
-            client_id=i,
-            model=model,
-            features=ds.features[idx],
-            labels=ds.labels[idx],
-        )
-        for i, idx in enumerate(shards)
-    ]
+    return [ClientState(i, model, ds.features[s], ds.labels[s]) for i, s in enumerate(shards)]
 
 
 def quadratic_clients(ensemble) -> list[ClientState]:
@@ -237,10 +233,13 @@ def run_experiment(
     that track custom per-round quantities.
 
     Training starts from ``resume_from`` when given, else from round 0
-    with the model's seeded initialization. Resuming from a checkpointed
-    state replays the remaining rounds exactly as the uninterrupted run
-    would have; a caller that wants another start passes its own
-    ``ServerState`` (``initial_state`` with theta set).
+    with the model's seeded initialization. The state is all a run carries
+    between rounds and is never written once handed out, so resuming from
+    any state it gave (to ``on_round`` or as its result) is exact for all
+    six algorithms; a v1 checkpoint drops ``last_seen``, so a fedlesam
+    resume from a file is not. Another start is a caller's own
+    ``ServerState`` (``initial_state`` with theta set). Raises
+    DivergenceError when the global model or a recorded metric goes non-finite.
 
     Returns the records for the executed rounds and the final state.
     """
@@ -258,15 +257,15 @@ def run_experiment(
     records: list[RoundRecord] = []
     for t in range(state.round_index, cfg.rounds):
         started = time.perf_counter()
+        # lesam writes into this round's own copy, so a state handed out stays as it was
+        state = replace(state, last_seen=dict(state.last_seen))
         sampled = sample_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
-        finals = {i: local_round(cfg, state, clients[i]) for i in sampled}
         eval_round = (t + 1) % cfg.eval_every == 0
-        if eval_round and cfg.full_flatness and cfg.track_flatness:
-            # metric-only rounds, so that the dispersion covers every
-            # client; they leave client memory as it was
-            for i in range(cfg.n_clients):
-                if i not in finals:
-                    finals[i] = local_round(cfg, state, clients[i], update_client_state=False)
+        # with full flatness every other client runs a metric-only round,
+        # so that the dispersion covers every client; it records nothing
+        everyone = eval_round and cfg.full_flatness and cfg.track_flatness
+        ids = range(cfg.n_clients) if everyone else sampled
+        finals = {i: local_round(cfg, state, clients[i], i in sampled) for i in ids}
 
         deltas = [finals[i] - state.theta for i in sampled if finals[i] is not None]
         mean_delta = aggregate(deltas) if deltas else np.zeros_like(state.theta)
@@ -275,12 +274,14 @@ def run_experiment(
 
         rec = RoundRecord(round=t)
         if eval_round:
-            # a run mid-divergence can overflow here; the divergence
-            # error itself is raised from the next local round
+            # a run mid-divergence can overflow here; the check below reports it
             with np.errstate(over="ignore", invalid="ignore"):
                 _fill_metrics(rec, cfg, clients, finals, state, prev_theta, prev_momentum, eval_data)
         if cfg.track_wall_time:
             rec.wall_time_ms = (time.perf_counter() - started) * 1000.0
+        for name, value in (("global model", state.theta), *vars(rec).items()):
+            if value is not None and not np.isfinite(value).all():
+                raise DivergenceError(t, what=name)
         records.append(rec)
         if on_round is not None:
             on_round(state)

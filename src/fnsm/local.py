@@ -4,9 +4,10 @@ The client reads two things: the run's ``federation.FedConfig`` (which
 rule its algorithm uses, rho, the momentum lambda, extrapolation on or
 off, K local steps, the seed and the batch size) and the round's
 ``federation.ServerState`` (theta, the server momentum m, the last
-aggregated displacement, the learning rate and the round index). It
-returns its model after K local steps, every rule taking the same step
-with g(.) the minibatch gradient and lr the round's learning rate:
+aggregated displacement, the learning rate, the round index and lesam's
+per-client memory ``last_seen``). It returns its model after K local
+steps, every rule taking the same step with g(.) the minibatch gradient
+and lr the round's learning rate:
 
   theta <- theta - lr * blend(g(probe))
 
@@ -19,19 +20,19 @@ The rules differ only in the probe, with N(v) = rho * v/|v| (zero when
           ghat = -last_delta / (lr * K) the server's pseudo-gradient
   nsam    probe = theta + offset, offset = N(-m), the negated global
           momentum (+ momentum * m when extrapolating)
-  lesam   probe = theta + offset, offset = N(old_global - theta0), the
-          drift between the last-received and current global model
+  lesam   probe = theta + offset, offset = N(last_seen - theta0), the drift
+          from the model the client last received, kept in the server state
 
 The offsets depend only on what the server sent, so they are fixed for
 the round; sam and mosam recompute the probe from each step's gradient.
 
 Each client draws batches from a stream keyed by (seed, client, round):
 a fresh without-replacement shuffle per local epoch, short final batch
-kept. Keying the stream by round makes local_round a pure function of
-its arguments, so clients can run in any order.
+kept. Keying the stream by round makes a client's result depend only on
+the arguments of local_round, so clients can run in any order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,33 +50,31 @@ ZERO_NORM = 1e-12  # below this, normalized directions fall back to zero
 
 
 class DivergenceError(RuntimeError):
-    """A parameter went non-finite; carries (round, client, step) context."""
+    """Training went non-finite; carries (round, client, step) context, with
+    client and step None when only the global model or a metric (``what``) did."""
 
-    def __init__(self, round_index: int, client_id: int, step: int):
-        super().__init__(
-            f"non-finite parameter at round {round_index}, "
-            f"client {client_id}, local step {step}"
-        )
+    def __init__(self, round_index: int, client_id=None, step=None, what="parameter"):
+        where = (" (every client's local steps stayed finite)" if client_id is None
+                 else f", client {client_id}, local step {step}")
+        super().__init__(f"non-finite {what} at round {round_index}{where}")
         self.round_index = round_index
         self.client_id = client_id
         self.step = step
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientState:
-    """One client: its objective, data shard, and cross-round memory.
+    """One client: its objective and data shard. Clients hold no run state
+    (lesam's memory is ``ServerState.last_seen``), so runs can share them.
 
     ``features is None`` marks a data-free objective (a client-specific
     quadratic); such clients are always evaluable and ignore batching.
-    ``old_global`` is the global model received at the previous
-    participation, kept only for the lesam perturbation.
     """
 
     client_id: int
     model: object
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
-    old_global: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def evaluable(self) -> bool:
@@ -133,11 +132,12 @@ def local_round(
     ``cfg`` is the run's ``federation.FedConfig``: the rule comes from
     its algorithm (``cfg.local_rule``), and rho, momentum, extrapolate,
     local_steps, seed and batch_size are read from it as they are.
-    ``state`` is the round's ``federation.ServerState``; only its theta,
-    momentum, last_delta, lr and round_index are read. Returns None for
-    a client whose shard is empty (the caller skips it).
-    ``update_client_state`` is turned off for metric-only evaluations so
-    that lesam's participation memory only advances on real participation.
+    ``state`` is the round's ``federation.ServerState``; its theta,
+    momentum, last_delta, lr, round_index and last_seen are read. Returns
+    None for a client whose shard is empty (the caller skips it).
+    ``update_client_state`` marks a real participation: lesam then records
+    the received theta in ``state.last_seen``. It is off for metric-only
+    evaluations, which record nothing.
     """
     if not client.evaluable:
         return None
@@ -151,10 +151,8 @@ def local_round(
         if cfg.extrapolate:
             offset = offset + cfg.momentum * state.momentum
     elif kind == "lesam":
-        if client.old_global is None:
-            offset = np.zeros_like(theta0)
-        else:
-            offset = sam_perturbation(client.old_global - theta0, cfg.rho)
+        seen = state.last_seen.get(client.client_id, theta0)  # zero drift at first
+        offset = sam_perturbation(seen - theta0, cfg.rho)
     elif kind == "mosam":
         ghat = -state.last_delta / (lr * cfg.local_steps)
     own_probe = kind in ("sam", "mosam")
@@ -178,5 +176,5 @@ def local_round(
                 raise DivergenceError(state.round_index, client.client_id, k)
 
     if update_client_state and kind == "lesam":
-        client.old_global = theta0
+        state.last_seen[client.client_id] = theta0
     return theta

@@ -122,10 +122,8 @@ class SoftmaxLinear:
         return [slice(0, w), slice(w, w + self.classes)]
 
     def _unpack(self, theta):
-        w = self.classes * self.in_dim
-        W = theta[:w].reshape(self.classes, self.in_dim)
-        b = theta[w:]
-        return W, b
+        w, b = self.blocks()
+        return theta[w].reshape(self.classes, self.in_dim), theta[b]
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         bound = 1.0 / np.sqrt(self.in_dim)
@@ -189,15 +187,11 @@ class Mlp1:
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         # per-layer uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]
-        b_in = 1.0 / np.sqrt(self.in_dim)
-        b_hid = 1.0 / np.sqrt(self.hidden)
-        parts = [
-            rng.uniform(-b_in, b_in, size=self.hidden * self.in_dim),
-            rng.uniform(-b_in, b_in, size=self.hidden),
-            rng.uniform(-b_hid, b_hid, size=self.classes * self.hidden),
-            rng.uniform(-b_hid, b_hid, size=self.classes),
-        ]
-        return np.concatenate(parts)
+        fan_in = (self.in_dim, self.in_dim, self.hidden, self.hidden)
+        return np.concatenate([
+            rng.uniform(-1.0 / np.sqrt(f), 1.0 / np.sqrt(f), size=s.stop - s.start)
+            for f, s in zip(fan_in, self.blocks())
+        ])
 
     def _forward(self, theta, X):
         W1, b1, W2, b2 = self._unpack(theta)

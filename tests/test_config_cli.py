@@ -126,7 +126,7 @@ def specs(draw):
         model_kind=draw(st.sampled_from(MODEL_KINDS)),
         hidden=draw(st.integers(1, 512)),
         quad_dim=draw(st.integers(1, 100)),
-        seeds=tuple(draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=4))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=4, unique=True))),
     )
 
 
@@ -229,6 +229,67 @@ class TestParsing:
         assert back.config_hash() == spec.config_hash()
 
 
+DIVERGING_CFG = """\
+model.kind = quadratic
+fed.algorithm = fedavg
+fed.n_clients = 4
+fed.participation = 4
+fed.rounds = 200
+fed.local_steps = 1
+fed.lr = 9.0
+fed.lr_decay = 1.0
+run.seeds = 1
+run.eval_every = 50
+"""
+
+# one spec per ExperimentSpec.validate rejection, as overrides of MIX_CFG, and the key it names
+REJECTED = [
+    (["data.kind=parquet"], "data.kind"),
+    (["model.kind=forest"], "model.kind"),
+    (["data.kind=csv"], "data.csv_path"),
+    (["data.classes=1"], "data.classes"),
+    (["data.dim=0"], "data.dim"),
+    (["data.n=2"], "data.n"),
+    (["model.hidden=0"], "model.hidden"),
+    (["model.kind=quadratic", "model.quad_dim=0"], "model.quad_dim"),
+    (["run.seeds="], "run.seeds"),
+    (["run.checkpoint_every=-1"], "run.checkpoint_every"),
+    (["run.out="], "run.out"),
+]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("overrides, key", REJECTED, ids=[o[-1] for o, _ in REJECTED])
+    def test_rejection_exits_2_naming_key(self, tmp_path, capsys, overrides, key):
+        p = write(tmp_path, "m.cfg", MIX_CFG)
+        args = [a for o in [f"run.out={tmp_path / 'out'}", *overrides] for a in ("--set", o)]
+        assert main(["run", "--config", p, *args]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["compare", "--algos", "fedavg", "--seeds", "1,1"], "run.seeds"),
+            (["run", "--set", "run.seeds=3,3"], "run.seeds"),
+            (["compare", "--algos", "fedavg", "--seeds", ""], "run.seeds"),
+            (["run", "--out", ""], "run.out"),
+        ],
+        ids=["repeated_seeds_flag", "repeated_seeds_set", "empty_seeds_flag", "empty_out_flag"],
+    )
+    def test_repeated_or_empty_flag_exits_2_naming_key(self, tmp_path, capsys, argv, key):
+        p = write(tmp_path, "q.cfg", QUAD_CFG.replace("run.seeds = 1\n", "run.seeds = 1,2\n"))
+        out = [] if "--out" in argv else ["--out", str(tmp_path / "out")]
+        assert main([*argv, "--config", p, *out]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_seed_in_file_names_line(self, tmp_path):
+        p = write(tmp_path, "q.cfg", "run.seeds = 3,1,3\n")
+        with pytest.raises(ConfigError, match=r":1: run.seeds = '3,1,3'"):
+            parse_config(p)
+
+
 class TestCmdRun:
     def test_row_count_and_schema(self, tmp_path, capsys):
         p = write(tmp_path, "q.cfg", QUAD_CFG)
@@ -269,6 +330,36 @@ class TestCmdRun:
         assert code == 3
         err = capsys.readouterr().err
         assert "round" in err and "client" in err and "step" in err
+
+    def test_divergence_at_the_last_round_exits_3_without_csv(self, tmp_path, capsys):
+        # theta stays finite (about 1e122), but its loss and gradient norm overflow
+        p = write(tmp_path, "d.cfg", DIVERGING_CFG)
+        assert main(["run", "--config", p, "--out", str(tmp_path / "out")]) == 3
+        assert "non-finite train_loss at round 199" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_softmax_run_and_surface(self, tmp_path):
+        from fnsm.federation import load_checkpoint
+        from fnsm.metrics import population_loss
+
+        cfg = write(tmp_path, "s.cfg", MIX_CFG.replace("model.kind = mlp", "model.kind = softmax"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        evaluated = [r for r in read_records(out / "fednsam_seed7.csv") if r.train_loss is not None]
+        assert len(evaluated) == 3
+        for r in evaluated:
+            for v in (r.train_loss, r.test_accuracy, r.grad_norm_extrapolated,
+                      r.flatness_distance, r.global_sharpness):
+                assert np.isfinite(v)
+        ckpt = out / "fednsam_seed7.ckpt"
+        assert main(["surface", "--config", cfg, "--ckpt", str(ckpt),
+                     "--range", "0.5", "--res", "5", "--out", str(out)]) == 0
+        values, _, _ = read_surface(out / "surface.txt")
+        spec = parse_config(cfg)
+        clients, _, model = build_problem(spec.for_run("fednsam", 7))
+        assert type(model).__name__ == "SoftmaxLinear"
+        state = load_checkpoint(ckpt, spec.fed)
+        assert values[2, 2] == population_loss(clients, state.theta)
 
     def test_single_class_csv_exits_2_naming_file(self, tmp_path, capsys):
         mix = synth_gaussian_mixture(3, 4, 120, 0.7, seed=7)

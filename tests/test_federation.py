@@ -1,5 +1,6 @@
 """Server loop: sampling, aggregation, momentum, determinism, checkpoints."""
 
+from copy import deepcopy
 from dataclasses import fields, replace
 
 import numpy as np
@@ -261,6 +262,57 @@ class TestRunExperiment:
                 small_cfg(**{field: value}).validate()
 
 
+def busy_cfg(algorithm):
+    """A run where every rule's knobs are on and every client runs at eval rounds."""
+    return small_cfg(algorithm=algorithm, rho=0.1, momentum=0.85, rounds=10, eval_every=2,
+                     full_flatness=True)
+
+
+class TestRunState:
+    def test_fedlesam_reruns_identically_on_one_client_list(self):
+        cfg = busy_cfg("fedlesam")
+        model, train, test, shards = small_problem(seed=11, n_clients=cfg.n_clients)
+        clients = clients_from_partition(model, train, shards, cfg)
+        recs_a, state_a = run_experiment(cfg, clients, eval_data=test)
+        recs_b, state_b = run_experiment(cfg, clients, eval_data=test)
+        assert recs_a == recs_b
+        assert np.array_equal(state_a.theta, state_b.theta)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_resume_from_a_handed_out_state_is_exact(self, algorithm):
+        cfg = busy_cfg(algorithm)
+        model, train, test, shards = small_problem(seed=11, n_clients=cfg.n_clients)
+        clients = clients_from_partition(model, train, shards, cfg)
+        seen = []
+        full_recs, full_state = run_experiment(cfg, clients, eval_data=test, on_round=seen.append)
+        for k in (0, 4, 7):
+            assert seen[k].round_index == k + 1
+            recs, state = run_experiment(cfg, clients, eval_data=test, resume_from=seen[k])
+            assert recs == full_recs[k + 1:]
+            assert np.array_equal(state.theta, full_state.theta)
+            assert np.array_equal(state.momentum, full_state.momentum)
+
+    def test_handed_out_states_are_never_written(self):
+        cfg = replace(busy_cfg("fedlesam"), participation=2)
+        model, train, test, shards = small_problem(seed=11, n_clients=cfg.n_clients)
+        clients = clients_from_partition(model, train, shards, cfg)
+        start = initial_state(cfg, model.dim)
+        seen, copies = [], []
+
+        def watch(state):
+            seen.append(state)
+            copies.append(deepcopy(state))
+
+        run_experiment(cfg, clients, eval_data=test, resume_from=start, on_round=watch)
+        assert start.last_seen == {}
+        assert len(seen[-1].last_seen) > len(seen[0].last_seen) > 0  # memory did grow
+        for state, copy in zip(seen, copies):
+            assert state.last_seen.keys() == copy.last_seen.keys()
+            for i, theta in copy.last_seen.items():
+                assert np.array_equal(state.last_seen[i], theta)
+            assert np.array_equal(state.theta, copy.theta)
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize(
         "algorithm",
@@ -269,7 +321,7 @@ class TestCheckpoints:
                 a,
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="checkpoint v1 drops each client's old_global, so a fedlesam "
+                    reason="checkpoint v1 drops ServerState.last_seen, so a fedlesam "
                     "resume drifts from the uninterrupted run (ROADMAP must-fix 2)",
                 ),
             )

@@ -208,14 +208,15 @@ class TestLesamStep:
         a = local_round(fed("fedavg", local_steps=5, seed=7), state, client_a)
         b = local_round(fed("fedlesam", rho=0.1, local_steps=5, seed=7), state, client_b)
         assert np.array_equal(a, b)
-        assert np.array_equal(client_b.old_global, state.theta)
+        assert np.array_equal(state.last_seen[client_b.client_id], state.theta)
 
     def test_perturbs_along_global_drift(self):
         A, c = np.diag([1.0, 2.0]), np.array([0.5, -0.5])
         client = quad_client(A, c)
-        client.old_global = np.array([1.0, 1.0])
         theta0 = np.array([0.2, 0.6])
-        final = local_round(fed("fedlesam", rho=0.3, local_steps=2), server(theta0, lr=0.1), client)
+        state = server(theta0, lr=0.1)
+        state.last_seen[client.client_id] = np.array([1.0, 1.0])
+        final = local_round(fed("fedlesam", rho=0.3, local_steps=2), state, client)
 
         drift = np.array([1.0, 1.0]) - theta0
         d = 0.3 * drift / np.linalg.norm(drift)
@@ -223,14 +224,15 @@ class TestLesamStep:
         for _ in range(2):
             theta = theta - 0.1 * (A @ (theta + d - c))
         assert np.allclose(final, theta, atol=1e-15)
-        assert np.array_equal(client.old_global, theta0)
+        assert np.array_equal(state.last_seen[client.client_id], theta0)
 
     def test_metric_only_run_keeps_memory(self):
         client = data_client(seed=8)
-        client.old_global = np.full(client.model.dim, 0.25)
+        state = server(np.zeros(client.model.dim), lr=0.1)
+        state.last_seen[client.client_id] = np.full(client.model.dim, 0.25)
         cfg = fed("fedlesam", rho=0.1, local_steps=2, seed=8)
-        local_round(cfg, server(np.zeros(client.model.dim), lr=0.1), client, update_client_state=False)
-        assert np.array_equal(client.old_global, np.full(client.model.dim, 0.25))
+        local_round(cfg, state, client, update_client_state=False)
+        assert np.array_equal(state.last_seen[client.client_id], np.full(client.model.dim, 0.25))
 
 
 class TestEdges:
