@@ -68,7 +68,8 @@ def read_records(path) -> list[RoundRecord]:
 
 def _sweep(spec: ExperimentSpec, algorithms: list[str]) -> list[list[list[RoundRecord]]]:
     """Run each (algorithm, seed) in order, writing and printing its CSV (and
-    its checkpoint); return the records by algorithm, then seed."""
+    its checkpoint); return the records by algorithm, then seed. A run that
+    diverges leaves neither file; the runs before it keep theirs."""
     os.makedirs(spec.out_dir, exist_ok=True)
     dataset = read_dataset(spec)
     by_algorithm = []
@@ -78,13 +79,21 @@ def _sweep(spec: ExperimentSpec, algorithms: list[str]) -> list[list[list[RoundR
             run_spec = spec.for_run(algorithm, seed)
             clients, eval_data, _ = build_problem(run_spec, dataset)
             stem = os.path.join(spec.out_dir, f"{algorithm}_seed{seed}")
-            records, _ = run_experiment(
-                run_spec.fed,
-                clients,
-                eval_data=eval_data,
-                checkpoint_path=stem + ".ckpt" if spec.checkpoint_every > 0 else None,
-                checkpoint_every=spec.checkpoint_every,
-            )
+            try:
+                records, _ = run_experiment(
+                    run_spec.fed,
+                    clients,
+                    eval_data=eval_data,
+                    checkpoint_path=stem + ".ckpt" if spec.checkpoint_every > 0 else None,
+                    checkpoint_every=spec.checkpoint_every,
+                )
+            except DivergenceError:
+                # a diverged run leaves no file to read, resume from or slice,
+                # neither its own checkpoints nor an earlier run's files
+                for path in (stem + ".csv", stem + ".ckpt"):
+                    if os.path.exists(path):
+                        os.remove(path)
+                raise
             write_records(stem + ".csv", records, run_spec)
             print(stem + ".csv")
             runs.append(records)
@@ -162,7 +171,13 @@ def cmd_surface(args) -> int:
         raise ConfigError(
             f"checkpoint dimension {state.theta.shape[0]} does not match model dimension {model.dim}"
         )
-    grid = loss_surface_slice(clients, state.theta, seed, args.range, args.res)
+    # a range that overflows the loss is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = loss_surface_slice(clients, state.theta, seed, args.range, args.res)
+    if not np.isfinite(grid.values).all():
+        raise ConfigError(
+            f"--ckpt {args.ckpt} with --range {args.range!r}: the loss surface is non-finite"
+        )
     os.makedirs(spec.out_dir, exist_ok=True)
     path = os.path.join(spec.out_dir, "surface.txt")
     write_surface(grid, path)

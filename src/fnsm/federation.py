@@ -5,7 +5,11 @@ the round's ServerState and returns its final model; the server forms
 each client's displacement as that model minus theta. The clients are
 independent pure computations, run one after another in ascending
 client-id order and reduced in that order, which keeps every output
-bit-identical for a given seed.
+bit-identical for a given seed. The parts of the local rule that depend
+only on what the server sent (nsam's probe offset, mosam's blend target)
+are computed once per round and handed to every client. A round with
+full participation samples every client without drawing a random
+stream.
 
 Two server branches exist. Plain averaging adds the mean client
 displacement to the global model. The momentum branch folds the mean
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import Dataset
-from .local import ClientState, DivergenceError, local_round
+from .local import ClientState, DivergenceError, local_round, round_constants
 from .metrics import extrapolated_grad_norm, flatness_distance, global_sharpness, population_loss
 from .models import accuracy
 from .rng import rng_for
@@ -144,17 +148,20 @@ def sample_clients(n_clients: int, participation: int, round_index: int, seed: i
     """Draw the round's participants without replacement, sorted ascending.
 
     The draw is keyed by (seed, round) only, so any round can be
-    reproduced in isolation.
+    reproduced in isolation. Full participation draws no stream: every
+    sorted draw of n of n clients is 0..n-1.
     """
     if not 1 <= participation <= n_clients:
         raise ValueError("need 1 <= participation <= n_clients")
+    if participation == n_clients:
+        return list(range(n_clients))
     rng = rng_for(seed, "sample", round_index)
     picked = rng.choice(n_clients, size=participation, replace=False)
     return sorted(int(i) for i in picked)
 
 
 def aggregate(deltas: list[np.ndarray]) -> np.ndarray:
-    """Plain mean of client displacements, summed in list order.
+    """Plain mean of client displacements, summed in place in list order.
 
     The caller passes deltas in ascending client-id order; the explicit
     sequential sum pins the reduction order for bit-reproducibility.
@@ -165,7 +172,7 @@ def aggregate(deltas: list[np.ndarray]) -> np.ndarray:
     for d in deltas:
         if d.shape != total.shape:
             raise ValueError("client deltas disagree on dimension")
-        total = total + d
+        total += d
     return total / len(deltas)
 
 
@@ -260,12 +267,16 @@ def run_experiment(
         # lesam writes into this round's own copy, so a state handed out stays as it was
         state = replace(state, last_seen=dict(state.last_seen))
         sampled = sample_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
+        chosen = set(sampled)
         eval_round = (t + 1) % cfg.eval_every == 0
         # with full flatness every other client runs a metric-only round,
         # so that the dispersion covers every client; it records nothing
         everyone = eval_round and cfg.full_flatness and cfg.track_flatness
         ids = range(cfg.n_clients) if everyone else sampled
-        finals = {i: local_round(cfg, state, clients[i], i in sampled) for i in ids}
+        constants = round_constants(cfg, state)  # the same for every client
+        # overflow is an anticipated failure mode, reported via DivergenceError
+        with np.errstate(over="ignore", invalid="ignore"):
+            finals = {i: local_round(cfg, state, clients[i], i in chosen, constants) for i in ids}
 
         deltas = [finals[i] - state.theta for i in sampled if finals[i] is not None]
         mean_delta = aggregate(deltas) if deltas else np.zeros_like(state.theta)
@@ -333,6 +344,9 @@ def save_checkpoint(path, state: ServerState) -> None:
 def load_checkpoint(path, cfg: FedConfig) -> ServerState:
     """Read a snapshot back; the learning rate is replayed from the config.
 
+    Raises ValueError naming the file when it is malformed or holds a
+    non-finite value (a run that diverged never resumes).
+
     Replaying the decay multiplication round by round (rather than using a
     power) reproduces the exact float the uninterrupted run would hold.
     """
@@ -354,6 +368,9 @@ def load_checkpoint(path, cfg: FedConfig) -> ServerState:
         np.frombuffer(blob, dtype="<f8", count=d, offset=20 + 8 * d * k).astype(np.float64)
         for k in range(3)
     ]
+    for name, vec in zip(("theta", "momentum", "last_delta"), vecs):
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}: non-finite {name} in checkpoint")
     lr = cfg.lr0
     for _ in range(round_index):
         lr *= cfg.lr_decay

@@ -25,6 +25,11 @@ The rules differ only in the probe, with N(v) = rho * v/|v| (zero when
 
 The offsets depend only on what the server sent, so they are fixed for
 the round; sam and mosam recompute the probe from each step's gradient.
+nsam's offset and mosam's ghat are the same for every client, so the
+server loop computes them once per round (``round_constants``) and hands
+them to each client's local_round; a direct call computes its own. The
+server loop also silences numpy's overflow warnings once per round; a
+direct call does not, so a diverging client may warn before it raises.
 
 Each client draws batches from a stream keyed by (seed, client, round):
 a fresh without-replacement shuffle per local epoch, short final batch
@@ -43,6 +48,7 @@ __all__ = [
     "DivergenceError",
     "sam_perturbation",
     "nsam_perturbation",
+    "round_constants",
     "local_round",
 ]
 
@@ -124,8 +130,25 @@ def nsam_perturbation(m: np.ndarray, rho: float) -> np.ndarray:
     return _normalized(-m, rho)
 
 
+def round_constants(cfg, state) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(offset, ghat): nsam's probe offset and mosam's blend target.
+
+    Each is None for the other rules. Both read only ``cfg`` and the
+    round's ``state``, so every client of a round shares them.
+    """
+    kind = cfg.local_rule
+    offset = ghat = None
+    if kind == "nsam":
+        offset = nsam_perturbation(state.momentum, cfg.rho)
+        if cfg.extrapolate:
+            offset = offset + cfg.momentum * state.momentum
+    elif kind == "mosam":
+        ghat = -state.last_delta / (state.lr * cfg.local_steps)
+    return offset, ghat
+
+
 def local_round(
-    cfg, state, client: ClientState, update_client_state: bool = True
+    cfg, state, client: ClientState, update_client_state: bool = True, constants=None
 ) -> np.ndarray | None:
     """Run K local steps from the server model; return the client's final model.
 
@@ -138,6 +161,13 @@ def local_round(
     ``update_client_state`` marks a real participation: lesam then records
     the received theta in ``state.last_seen``. It is off for metric-only
     evaluations, which record nothing.
+    ``constants`` is ``round_constants(cfg, state)``, which the server loop
+    computes once per round; when omitted it is computed here.
+
+    Overflow is reported as a DivergenceError naming the client and step.
+    The server loop silences numpy's floating-point warnings once per
+    round; a direct call does not, so it may also emit a RuntimeWarning
+    first.
     """
     if not client.evaluable:
         return None
@@ -145,35 +175,28 @@ def local_round(
     theta = theta0 = np.asarray(state.theta, dtype=np.float64)
     lr = state.lr
 
-    offset = ghat = None  # a probe offset fixed for the round; mosam's blend target
-    if kind == "nsam":
-        offset = nsam_perturbation(state.momentum, cfg.rho)
-        if cfg.extrapolate:
-            offset = offset + cfg.momentum * state.momentum
-    elif kind == "lesam":
+    # a probe offset fixed for the round; mosam's blend target
+    offset, ghat = round_constants(cfg, state) if constants is None else constants
+    if kind == "lesam":
         seen = state.last_seen.get(client.client_id, theta0)  # zero drift at first
         offset = sam_perturbation(seen - theta0, cfg.rho)
-    elif kind == "mosam":
-        ghat = -state.last_delta / (lr * cfg.local_steps)
     own_probe = kind in ("sam", "mosam")
 
     stream = client.batches(cfg, state.round_index)
-    # overflow is an anticipated failure mode, reported via DivergenceError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(cfg.local_steps):
-            X, y = next(stream)
-            if offset is not None:
-                probe = theta + offset
-            elif own_probe:
-                probe = theta + sam_perturbation(client.model.grad(theta, X, y), cfg.rho)
-            else:
-                probe = theta
-            g = client.model.grad(probe, X, y)
-            if ghat is not None:
-                g = cfg.momentum * g + (1.0 - cfg.momentum) * ghat
-            theta = theta - lr * g
-            if not np.isfinite(theta).all():
-                raise DivergenceError(state.round_index, client.client_id, k)
+    for k in range(cfg.local_steps):
+        X, y = next(stream)
+        if offset is not None:
+            probe = theta + offset
+        elif own_probe:
+            probe = theta + sam_perturbation(client.model.grad(theta, X, y), cfg.rho)
+        else:
+            probe = theta
+        g = client.model.grad(probe, X, y)
+        if ghat is not None:
+            g = cfg.momentum * g + (1.0 - cfg.momentum) * ghat
+        theta = theta - lr * g
+        if not np.isfinite(theta).all():
+            raise DivergenceError(state.round_index, client.client_id, k)
 
     if update_client_state and kind == "lesam":
         state.last_seen[client.client_id] = theta0

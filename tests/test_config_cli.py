@@ -338,6 +338,27 @@ class TestCmdRun:
         assert "non-finite train_loss at round 199" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_diverged_run_leaves_no_csv_or_checkpoint(self, tmp_path, capsys):
+        p = write(tmp_path, "d.cfg", DIVERGING_CFG + "run.checkpoint_every = 20\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", p, "--set", "fed.lr=0.5", "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["fedavg_seed1.ckpt", "fedavg_seed1.csv"]
+        # checkpoints every 20 rounds, diverges at round 199; neither its own
+        # checkpoint nor the earlier run's files at the same path remain
+        assert main(["run", "--config", p, "--out", str(out)]) == 3
+        assert "non-finite train_loss at round 199" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_earlier_runs_of_a_diverging_sweep_keep_their_files(self, tmp_path, capsys):
+        # over 150 rounds seed 1 stays finite and seed 6 diverges at round 149
+        p = write(tmp_path, "d.cfg", DIVERGING_CFG + "run.checkpoint_every = 20\n")
+        out = tmp_path / "out"
+        code = main(["compare", "--config", p, "--set", "fed.rounds=150", "--algos", "fedavg",
+                     "--seeds", "1,6", "--out", str(out)])
+        assert code == 3
+        assert "non-finite train_loss at round 149" in capsys.readouterr().err
+        assert sorted(f.name for f in out.iterdir()) == ["fedavg_seed1.ckpt", "fedavg_seed1.csv"]
+
     def test_softmax_run_and_surface(self, tmp_path):
         from fnsm.federation import load_checkpoint
         from fnsm.metrics import population_loss
@@ -531,6 +552,28 @@ class TestCmdSurface:
         assert main(["surface", "--config", cfg, "--ckpt", str(bad),
                      "--range", "0.5", "--res", "5", "--out", str(out)]) == 2
         assert f"--ckpt {bad}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vector, value", [(0, "nan"), (1, "inf"), (2, "-inf")],
+                             ids=["theta_nan", "momentum_inf", "last_delta_-inf"])
+    def test_non_finite_checkpoint_exits_2_naming_it(self, tmp_path, capsys, vector, value):
+        cfg, ckpt, out = self.setup_ckpt(tmp_path)
+        blob = bytearray(open(ckpt, "rb").read())
+        (d,) = struct.unpack_from("<Q", blob, 12)
+        struct.pack_into("<d", blob, 20 + 8 * d * vector + 8, float(value))
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        assert main(["surface", "--config", cfg, "--ckpt", str(bad),
+                     "--range", "0.5", "--res", "5", "--out", str(out)]) == 2
+        assert f"--ckpt {bad}:" in capsys.readouterr().err
+        assert not (out / "surface.txt").exists()
+
+    def test_overflowing_range_exits_2_naming_ckpt_and_range(self, tmp_path, capsys):
+        cfg, ckpt, out = self.setup_ckpt(tmp_path)
+        assert main(["surface", "--config", cfg, "--ckpt", ckpt,
+                     "--range", "1e308", "--res", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--ckpt {ckpt}" in err and "--range" in err
+        assert not (out / "surface.txt").exists()
 
     @pytest.mark.parametrize("span", ["nan", "inf", "0"])
     def test_bad_range_exits_2(self, tmp_path, capsys, span):

@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fnsm import (
     ALGORITHMS,
@@ -12,12 +14,14 @@ from fnsm import (
     FedConfig,
     Mlp1,
     Quadratic,
+    ServerState,
     SoftmaxLinear,
     aggregate,
     clients_from_partition,
     dirichlet_partition,
     DirichletSpec,
     load_checkpoint,
+    local_round,
     quadratic_clients,
     quadratic_ensemble_minimizer,
     rng_for,
@@ -77,6 +81,11 @@ class TestSampleClients:
     def test_oversubscription_rejected(self):
         with pytest.raises(ValueError):
             sample_clients(3, 4, 0, seed=0)
+
+    @given(n=st.integers(1, 64), round_index=st.integers(0, 10**6), seed=st.integers(0, 2**63))
+    def test_full_participation_equals_the_sorted_draw(self, n, round_index, seed):
+        drawn = rng_for(seed, "sample", round_index).choice(n, size=n, replace=False)
+        assert sample_clients(n, n, round_index, seed) == sorted(int(i) for i in drawn)
 
 
 class TestAggregate:
@@ -291,6 +300,37 @@ class TestRunState:
             assert recs == full_recs[k + 1:]
             assert np.array_equal(state.theta, full_state.theta)
             assert np.array_equal(state.momentum, full_state.momentum)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_one_round_equals_direct_local_rounds(self, algorithm):
+        # round 3 is an eval round, so the metric-only extras run as well
+        cfg = replace(busy_cfg(algorithm), rounds=4)
+        model, train, test, shards = small_problem(seed=11, n_clients=cfg.n_clients)
+        clients = clients_from_partition(model, train, shards, cfg)
+        rng = rng_for(5, "start")
+        start = ServerState(
+            theta=model.init_params(rng),
+            momentum=0.1 * rng.standard_normal(model.dim),
+            last_delta=0.1 * rng.standard_normal(model.dim),
+            round_index=3,
+            lr=0.05,
+            last_seen={i: model.init_params(rng) for i in range(0, cfg.n_clients, 2)},
+        )
+        _, got = run_experiment(cfg, clients, eval_data=test, resume_from=start)
+
+        state = replace(start, last_seen=dict(start.last_seen))
+        sampled = sample_clients(cfg.n_clients, cfg.participation, 3, cfg.seed)
+        finals = [local_round(cfg, state, clients[i]) for i in sampled]
+        deltas = [final - state.theta for final in finals if final is not None]
+        assert deltas
+        want = server_update(state, aggregate(deltas), cfg)
+
+        for name in ("theta", "momentum", "last_delta"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert (got.round_index, got.lr) == (want.round_index, want.lr)
+        assert got.last_seen.keys() == want.last_seen.keys()
+        for i, theta in want.last_seen.items():
+            assert np.array_equal(got.last_seen[i], theta)
 
     def test_handed_out_states_are_never_written(self):
         cfg = replace(busy_cfg("fedlesam"), participation=2)
