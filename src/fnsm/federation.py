@@ -22,14 +22,15 @@ fedavg, fedsam and fedlesam use the plain branch; fedavgm, mofedsam and
 fednsam use the momentum branch.
 """
 
+import math
 import struct
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import Dataset
-from .local import ClientState, DivergenceError, local_round, round_constants
+from .local import ClientState, DivergenceError, all_finite, local_round, round_constants
 from .metrics import extrapolated_grad_norm, flatness_distance, global_sharpness, population_loss
 from .models import accuracy
 from .rng import rng_for
@@ -265,7 +266,10 @@ def run_experiment(
     for t in range(state.round_index, cfg.rounds):
         started = time.perf_counter()
         # lesam writes into this round's own copy, so a state handed out stays as it was
-        state = replace(state, last_seen=dict(state.last_seen))
+        state = ServerState(
+            theta=state.theta, momentum=state.momentum, last_delta=state.last_delta,
+            round_index=state.round_index, lr=state.lr, last_seen=dict(state.last_seen),
+        )
         sampled = sample_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
         chosen = set(sampled)
         eval_round = (t + 1) % cfg.eval_every == 0
@@ -290,8 +294,10 @@ def run_experiment(
                 _fill_metrics(rec, cfg, clients, finals, state, prev_theta, prev_momentum, eval_data)
         if cfg.track_wall_time:
             rec.wall_time_ms = (time.perf_counter() - started) * 1000.0
-        for name, value in (("global model", state.theta), *vars(rec).items()):
-            if value is not None and not np.isfinite(value).all():
+        if not all_finite(state.theta):
+            raise DivergenceError(t, what="global model")
+        for name, value in vars(rec).items():
+            if value is not None and not math.isfinite(value):
                 raise DivergenceError(t, what=name)
         records.append(rec)
         if on_round is not None:

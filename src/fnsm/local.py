@@ -33,10 +33,21 @@ direct call does not, so a diverging client may warn before it raises.
 
 Each client draws batches from a stream keyed by (seed, client, round):
 a fresh without-replacement shuffle per local epoch, short final batch
-kept. Keying the stream by round makes a client's result depend only on
-the arguments of local_round, so clients can run in any order.
+kept. Each epoch gathers, in one copy, the rows of that epoch which the
+round's cfg.local_steps steps still take (the whole shard when they
+cover the epoch, fewer when the round ends inside it), and its batches
+are slices of that copy; so a round copies the same rows as one gather
+per step, never more. Keying the stream by round makes a client's
+result depend only on the arguments of local_round, so clients can run
+in any order.
+
+Every local step checks that theta is still finite (``all_finite``):
+one dot product, whose squared norm is non-finite whenever an entry is
+NaN or infinite. A huge but finite theta overflows the squared norm
+too; the exact elementwise test then runs and lets it pass.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +57,7 @@ from .rng import rng_for
 __all__ = [
     "ClientState",
     "DivergenceError",
+    "all_finite",
     "sam_perturbation",
     "nsam_perturbation",
     "round_constants",
@@ -93,17 +105,39 @@ class ClientState:
         return self.model.grad(theta, self.features, self.labels)
 
     def batches(self, cfg, round_index: int):
-        """Endless stream of cfg.batch_size minibatches, reshuffled per epoch."""
+        """Endless stream of cfg.batch_size minibatches, reshuffled per epoch.
+
+        The first cfg.local_steps batches are views of one gathered copy
+        per epoch, holding only the rows those steps take; any batch past
+        them is gathered on its own.
+        """
         if self.features is None:
             while True:
                 yield None, None
         rng = rng_for(cfg.seed, "batch", self.client_id, round_index)
-        n = self.features.shape[0]
+        n, size = self.features.shape[0], cfg.batch_size
+        per_epoch, steps = -(-n // size), cfg.local_steps  # steps still to serve
         while True:
             order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                take = order[start : start + cfg.batch_size]
-                yield self.features[take], self.labels[take]
+            stop = min(n, steps * size)
+            steps -= min(steps, per_epoch)
+            X, y = self.features[order[:stop]], self.labels[order[:stop]]
+            for start in range(0, n, size):
+                if start < stop:
+                    yield X[start : start + size], y[start : start + size]
+                else:
+                    take = order[start : start + size]
+                    yield self.features[take], self.labels[take]
+
+
+def all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of the float vector v is finite, in one dot product.
+
+    A NaN or an infinity makes the squared norm non-finite. A huge but
+    finite v only overflows it, and the exact elementwise test then
+    clears v. ``np.vdot`` raises no floating-point warning on overflow.
+    """
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
 def _normalized(v: np.ndarray, rho: float) -> np.ndarray:
@@ -195,7 +229,7 @@ def local_round(
         if ghat is not None:
             g = cfg.momentum * g + (1.0 - cfg.momentum) * ghat
         theta = theta - lr * g
-        if not np.isfinite(theta).all():
+        if not all_finite(theta):
             raise DivergenceError(state.round_index, client.client_id, k)
 
     if update_client_state and kind == "lesam":

@@ -29,9 +29,13 @@ __all__ = [
 
 # False where np.longdouble is plain float64 (MSVC, macOS arm64)
 _LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+_F64 = np.dtype(np.float64)
 
 
 def _check_theta(theta: np.ndarray, dim: int) -> np.ndarray:
+    # the training path passes float64 vectors; take them as they are
+    if type(theta) is np.ndarray and theta.dtype == _F64 and theta.shape == (dim,):
+        return theta
     # a longdouble theta keeps its precision: grad_check relies on it
     theta = np.asarray(theta)
     if theta.dtype != np.longdouble:
@@ -166,19 +170,20 @@ class Mlp1:
         self.in_dim = dim
         self.hidden = hidden
         self.classes = classes
+        w1 = hidden * dim
+        b1 = w1 + hidden
+        w2 = b1 + classes * hidden
+        self._slices = (slice(0, w1), slice(w1, b1), slice(b1, w2), slice(w2, self.dim))
 
     @property
     def dim(self) -> int:
         return self.hidden * (self.in_dim + 1) + self.classes * (self.hidden + 1)
 
     def blocks(self) -> list[slice]:
-        w1 = self.hidden * self.in_dim
-        b1 = w1 + self.hidden
-        w2 = b1 + self.classes * self.hidden
-        return [slice(0, w1), slice(w1, b1), slice(b1, w2), slice(w2, self.dim)]
+        return list(self._slices)
 
     def _unpack(self, theta):
-        s = self.blocks()
+        s = self._slices
         W1 = theta[s[0]].reshape(self.hidden, self.in_dim)
         b1 = theta[s[1]]
         W2 = theta[s[2]].reshape(self.classes, self.hidden)
@@ -206,17 +211,40 @@ class Mlp1:
         return _scalar(-logp[np.arange(len(y)), y].mean(), theta)
 
     def grad(self, theta, X, y) -> np.ndarray:
+        """Mean cross-entropy gradient, written block by block into one vector.
+
+        Each intermediate is formed once and then updated in place, and
+        the four blocks are computed straight into their views of the
+        result. Every element goes through the same operations, in the
+        same order, as the textbook form ``concatenate([dH.T @ X,
+        dH.sum(0), P.T @ H, P.sum(0)])``, so the result is bit-identical
+        to it; on ~1k-parameter models the cost is per call, not per flop.
+        """
         theta = _check_theta(theta, self.dim)
         X, y = _check_batch(X, y)
         W1, b1, W2, b2 = self._unpack(theta)
-        H = np.tanh(X @ W1.T + b1)
-        P = _softmax(H @ W2.T + b2)
-        P[np.arange(len(y)), y] -= 1.0
-        P /= len(y)
-        dH = (P @ W2) * (1.0 - H * H)
-        return np.concatenate(
-            [(dH.T @ X).ravel(), dH.sum(axis=0), (P.T @ H).ravel(), P.sum(axis=0)]
-        )
+        n = len(y)
+        H = X @ W1.T
+        H += b1
+        np.tanh(H, out=H)
+        P = H @ W2.T  # logits, then softmax probabilities, then dL/dlogits
+        P += b2
+        P -= np.maximum.reduce(P, axis=1, keepdims=True)
+        np.exp(P, out=P)
+        P /= np.add.reduce(P, axis=1, keepdims=True)
+        P[np.arange(n), y] -= 1.0
+        P /= n
+        g = np.empty(self.dim, dtype=H.dtype)  # float64, or longdouble for such a theta
+        s = self._slices
+        np.matmul(P.T, H, out=g[s[2]].reshape(self.classes, self.hidden))
+        np.add.reduce(P, axis=0, out=g[s[3]])
+        dH = P @ W2
+        H *= H
+        np.subtract(1.0, H, out=H)
+        dH *= H
+        np.matmul(dH.T, X, out=g[s[0]].reshape(self.hidden, self.in_dim))
+        np.add.reduce(dH, axis=0, out=g[s[1]])
+        return g
 
     def predict(self, theta, X) -> np.ndarray:
         theta = _check_theta(theta, self.dim)

@@ -1,5 +1,7 @@
 """Local update rules: perturbations, per-step arithmetic, reductions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -273,3 +275,81 @@ class TestEdges:
         c = next(client.batches(cfg, round_index=1))[0]
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class Scripted:
+    """A data-free model whose k-th gradient call returns gradients[k]."""
+
+    def __init__(self, gradients):
+        self.gradients = [np.asarray(g, dtype=float) for g in gradients]
+        self.calls = 0
+
+    def grad(self, theta, X=None, y=None):
+        self.calls += 1
+        return self.gradients[self.calls - 1]
+
+
+class TestFiniteness:
+    def test_huge_finite_theta_passes_without_warnings(self):
+        # |theta|^2 overflows; every entry stays finite
+        client = quad_client(np.eye(3), np.zeros(3), cid=2)
+        theta = np.array([1e200, -3e200, 2e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = local_round(fed("fedavg", local_steps=3), server(theta, lr=1e-3), client)
+        want = theta
+        for _ in range(3):
+            want = want - 1e-3 * want
+        assert np.array_equal(out, want) and np.abs(out).max() > 1e200
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("step", [0, 3])
+    def test_non_finite_step_names_client_and_first_bad_step(self, bad, step):
+        gradients = [[1e300, 1.0]] * step + [[bad, 0.0]] + [[0.0, 0.0]] * 3
+        client = ClientState(client_id=5, model=Scripted(gradients))
+        state = server(np.zeros(2), lr=1.0, round_index=4)
+        with warnings.catch_warnings(), pytest.raises(DivergenceError) as err:
+            warnings.simplefilter("error")
+            local_round(fed("fedavg", local_steps=step + 4), state, client)
+        assert (err.value.round_index, err.value.client_id, err.value.step) == (4, 5, step)
+        assert "client 5, local step %d" % step in str(err.value)
+
+
+def reference_batches(client, cfg, round_index):
+    """The batch stream gathered one batch at a time from the epoch's order."""
+    rng = rng_for(cfg.seed, "batch", client.client_id, round_index)
+    n = client.features.shape[0]
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            take = order[start : start + cfg.batch_size]
+            yield client.features[take], client.labels[take]
+
+
+class TestBatchStream:
+    @pytest.mark.parametrize("local_steps", [1, 4, 100])
+    @pytest.mark.parametrize("n, batch_size", [(40, 16), (30, 10), (10, 32), (1, 8), (7, 1)])
+    def test_same_batches_as_one_gather_per_step(self, n, batch_size, local_steps):
+        rng = rng_for(n, "stream")
+        client = ClientState(
+            client_id=3, model=SoftmaxLinear(3, 4),
+            features=rng.standard_normal((n, 4)), labels=rng.integers(0, 3, n),
+        )
+        cfg = fed("fedavg", seed=11, batch_size=batch_size, local_steps=local_steps)
+        stream, ref = client.batches(cfg, 6), reference_batches(client, cfg, 6)
+        steps = 3 * -(-n // batch_size) + 1  # three epochs and one batch into the fourth
+        for _ in range(steps):
+            (X, y), (X_ref, y_ref) = next(stream), next(ref)
+            assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
+            assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+
+    def test_a_round_gathers_only_the_rows_its_steps_take(self):
+        rng = rng_for(0, "stream")
+        client = ClientState(
+            client_id=3, model=SoftmaxLinear(3, 4),
+            features=rng.standard_normal((1000, 4)), labels=rng.integers(0, 3, 1000),
+        )
+        stream = client.batches(fed("fedavg", batch_size=8, local_steps=5), 0)
+        for _ in range(5):
+            X, y = next(stream)
+            assert X.base.shape == (40, 4) and y.base.shape == (40,)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fnsm import models
 from fnsm import (
@@ -195,3 +197,99 @@ class TestInit:
         a = model.init_params(rng_for(9, "init"))
         b = model.init_params(rng_for(9, "init"))
         assert np.array_equal(a, b)
+
+
+def reference_check_theta(theta, dim):
+    """_check_theta without its shortcut for float64 vectors."""
+    theta = np.asarray(theta)
+    if theta.dtype != np.longdouble:
+        theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (dim,):
+        raise ValueError(f"parameter vector has shape {theta.shape}, expected ({dim},)")
+    return theta
+
+
+def reference_mlp_grad(model, theta, X, y):
+    """Mlp1.grad in its textbook form: fresh temporaries and one concatenate."""
+    theta = reference_check_theta(theta, model.dim)
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    h, d, c = model.hidden, model.in_dim, model.classes
+    W1 = theta[: h * d].reshape(h, d)
+    b1 = theta[h * d : h * d + h]
+    W2 = theta[h * d + h : h * d + h + c * h].reshape(c, h)
+    b2 = theta[h * d + h + c * h :]
+    H = np.tanh(X @ W1.T + b1)
+    logits = H @ W2.T + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    P = e / e.sum(axis=1, keepdims=True)
+    P[np.arange(len(y)), y] -= 1.0
+    P /= len(y)
+    dH = (P @ W2) * (1.0 - H * H)
+    return np.concatenate(
+        [(dH.T @ X).ravel(), dH.sum(axis=0), (P.T @ H).ravel(), P.sum(axis=0)]
+    )
+
+
+class TestMlpGradKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        dims=st.tuples(st.integers(1, 12), st.integers(1, 24), st.integers(2, 10)),
+        scale=st.sampled_from([1e-3, 0.3, 1.0, 5.0, 100.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_the_concatenated_form(self, n, dims, scale, seed):
+        model = Mlp1(*dims)
+        rng = np.random.default_rng(seed)
+        theta = scale * model.init_params(rng)
+        X = rng.standard_normal((n, model.in_dim))
+        y = rng.integers(0, model.classes, n)
+        got = model.grad(theta, X, y)
+        assert got.dtype == np.float64 and got.shape == (model.dim,)
+        assert got.tobytes() == reference_mlp_grad(model, theta, X, y).tobytes()
+
+    def test_bit_identical_on_batch_views_lists_and_longdouble(self):
+        model = Mlp1(6, 9, 4)
+        rng = rng_for(12, "kernel")
+        theta = model.init_params(rng)
+        X = rng.standard_normal((50, 6))
+        y = rng.integers(0, 4, 50)
+        ref = reference_mlp_grad(model, theta, X[7:40], y[7:40]).tobytes()
+        assert model.grad(theta, X[7:40], y[7:40]).tobytes() == ref
+        assert model.grad(list(theta), X[7:40].tolist(), y[7:40].tolist()).tobytes() == ref
+        wide = theta.astype(np.longdouble)
+        got = model.grad(wide, X, y)
+        assert got.dtype == np.longdouble  # tobytes would compare its padding bytes
+        assert np.array_equal(got, reference_mlp_grad(model, wide, X, y))
+
+
+class TestCheckTheta:
+    DIM = 6
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.arange(12.0)[::2],  # strided view
+        lambda: [0.5, 1, 2, 3, 4, 5],  # Python list
+        lambda: np.arange(6),  # int array
+        lambda: np.linspace(0, 1, 6, dtype=np.float32),
+        lambda: np.linspace(0, 1, 6).astype(np.longdouble),  # grad_check's theta
+        lambda: np.linspace(0, 1, 6).astype(">f8"),  # non-native byte order
+        lambda: np.linspace(0, 1, 6),
+        lambda: np.zeros(5),  # wrong shapes
+        lambda: np.zeros((6, 1)),
+        lambda: np.float64(1.0),
+        lambda: [[1.0] * 6],
+    ])
+    def test_behaves_as_the_plain_conversion(self, make):
+        theta = make()
+        try:
+            want = reference_check_theta(theta, self.DIM)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                models._check_theta(theta, self.DIM)
+            assert str(err.value) == str(exc)
+            return
+        got = models._check_theta(theta, self.DIM)
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert (got is theta) == (want is theta)
