@@ -53,16 +53,35 @@ def write_records(path, records: list[RoundRecord], spec: ExperimentSpec) -> Non
 
 
 def read_records(path) -> list[RoundRecord]:
-    """Parse a metrics CSV back into its records."""
+    """Parse a metrics CSV back into its records.
+
+    Comment and blank lines are skipped. A row with too few or too many
+    cells, or a cell that is not a number, raises ValueError naming
+    ``path:line``.
+    """
     records = []
+    header = None
     with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln and not ln.startswith("#")]
-    if not lines or lines[0] != CSV_COLUMNS:
+        for lineno, ln in enumerate(f.read().splitlines(), start=1):
+            if not ln or ln.startswith("#"):
+                continue
+            if header is None:
+                header = ln
+                if ln != CSV_COLUMNS:
+                    raise ValueError(f"{path}:{lineno}: unexpected CSV header")
+                continue
+            cells = ln.split(",")
+            if len(cells) != len(_FIELDS):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(_FIELDS)} cells, found {len(cells)}"
+                )
+            try:
+                vals = [None if c == "" else float(c) for c in cells[1:]]
+                records.append(RoundRecord(int(cells[0]), **dict(zip(_FIELDS[1:], vals))))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: a cell is not a number") from None
+    if header is None:
         raise ValueError(f"{path}: unexpected CSV header")
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        vals = [None if c == "" else float(c) for c in cells[1:]]
-        records.append(RoundRecord(int(cells[0]), **dict(zip(_FIELDS[1:], vals))))
     return records
 
 

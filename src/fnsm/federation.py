@@ -1,15 +1,18 @@
 """Server loop: sampling, local rounds, aggregation, momentum, schedules.
 
-One coordinator drives rounds sequentially. Each sampled client receives
-the round's ServerState and returns its final model; the server forms
-each client's displacement as that model minus theta. The clients are
-independent pure computations, run one after another in ascending
-client-id order and reduced in that order, which keeps every output
-bit-identical for a given seed. The parts of the local rule that depend
-only on what the server sent (nsam's probe offset, mosam's blend target)
-are computed once per round and handed to every client. A round with
-full participation samples every client without drawing a random
-stream.
+One coordinator drives rounds sequentially. Per round, the server
+samples its clients and computes once what they all share
+(``local.round_constants``: theta as float64, nsam's probe offset,
+mosam's blend target, the rule's settings). Per client, it calls
+``local_round``, which does that client's own arithmetic and returns
+its final model. The clients are independent pure computations, run one
+after another in ascending client-id order. The server then stacks the
+sampled clients' models into one (clients x dim) array, subtracts theta
+from it in one call and reduces it in one ordered call (``aggregate``):
+row by row in client order, from +0.0, as a sequential loop would, so
+every output is bit-identical for a given seed, signed zeros included.
+A round with full participation samples every client without drawing a
+random stream.
 
 Two server branches exist. Plain averaging adds the mean client
 displacement to the global model. The momentum branch folds the mean
@@ -161,20 +164,32 @@ def sample_clients(n_clients: int, participation: int, round_index: int, seed: i
     return sorted(int(i) for i in picked)
 
 
-def aggregate(deltas: list[np.ndarray]) -> np.ndarray:
-    """Plain mean of client displacements, summed in place in list order.
+def aggregate(deltas) -> np.ndarray:
+    """Plain mean of client displacements, summed in client order.
 
-    The caller passes deltas in ascending client-id order; the explicit
-    sequential sum pins the reduction order for bit-reproducibility.
+    ``deltas`` is a (clients x dim) array or a list of vectors, in
+    ascending client-id order. The sum runs row by row from +0.0, as
+    ``total = zeros; for d in deltas: total += d`` would, which pins the
+    reduction order for bit-reproducibility: numpy reduces axis 0 of a
+    C-contiguous 2-D array that way. A 1-D run, which a one-coordinate
+    model's (clients x 1) array becomes, numpy sums pairwise instead, so
+    that shape keeps the loop.
     """
-    if not deltas:
+    if len(deltas) == 0:
         raise ValueError("no client results to aggregate")
-    total = np.zeros_like(deltas[0])
-    for d in deltas:
-        if d.shape != total.shape:
-            raise ValueError("client deltas disagree on dimension")
-        total += d
-    return total / len(deltas)
+    try:
+        D = np.ascontiguousarray(deltas)
+    except ValueError:  # vectors of different lengths do not stack
+        raise ValueError("client deltas disagree on dimension") from None
+    if D.ndim != 2:
+        raise ValueError("client deltas disagree on dimension")
+    if D.shape[1] > 1:
+        total = np.add.reduce(D, axis=0, initial=0.0)
+    else:
+        total = np.zeros(1, dtype=D.dtype)
+        for d in D:
+            total += d
+    return total / len(D)
 
 
 def server_update(state: ServerState, mean_delta: np.ndarray, cfg: FedConfig) -> ServerState:
@@ -282,8 +297,11 @@ def run_experiment(
         with np.errstate(over="ignore", invalid="ignore"):
             finals = {i: local_round(cfg, state, clients[i], i in chosen, constants) for i in ids}
 
-        deltas = [finals[i] - state.theta for i in sampled if finals[i] is not None]
-        mean_delta = aggregate(deltas) if deltas else np.zeros_like(state.theta)
+        results = [finals[i] for i in sampled if finals[i] is not None]
+        if results:
+            mean_delta = aggregate(np.array(results) - state.theta)
+        else:
+            mean_delta = np.zeros_like(state.theta)
         prev_theta, prev_momentum = state.theta, state.momentum
         state = server_update(state, mean_delta, cfg)
 

@@ -25,9 +25,16 @@ The rules differ only in the probe, with N(v) = rho * v/|v| (zero when
 
 The offsets depend only on what the server sent, so they are fixed for
 the round; sam and mosam recompute the probe from each step's gradient.
-nsam's offset and mosam's ghat are the same for every client, so the
-server loop computes them once per round (``round_constants``) and hands
-them to each client's local_round; a direct call computes its own. The
+
+Per round and per client: everything a round's clients share (the rule
+kind, K, rho, the momentum, theta as a float64 vector, the learning
+rate, nsam's offset and mosam's blend target (1 - momentum) * ghat,
+already scaled) is read from ``cfg`` and ``state`` once, by
+``round_constants``. The server loop computes it once per round and
+hands it to each client's local_round; a direct call computes its own.
+Per client there remains only the client's own work: lesam's offset
+from its memory, the batch stream of a client that holds data (a
+data-free client gets none) and K steps of gradient arithmetic. The
 server loop also silences numpy's overflow warnings once per round; a
 direct call does not, so a diverging client may warn before it raises.
 
@@ -49,6 +56,7 @@ too; the exact elementwise test then runs and lets it pass.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +68,7 @@ __all__ = [
     "all_finite",
     "sam_perturbation",
     "nsam_perturbation",
+    "RoundConstants",
     "round_constants",
     "local_round",
 ]
@@ -86,7 +95,7 @@ class ClientState:
     (lesam's memory is ``ServerState.last_seen``), so runs can share them.
 
     ``features is None`` marks a data-free objective (a client-specific
-    quadratic); such clients are always evaluable and ignore batching.
+    quadratic); such clients are always evaluable and have no batches.
     """
 
     client_id: int
@@ -111,9 +120,6 @@ class ClientState:
         per epoch, holding only the rows those steps take; any batch past
         them is gathered on its own.
         """
-        if self.features is None:
-            while True:
-                yield None, None
         rng = rng_for(cfg.seed, "batch", self.client_id, round_index)
         n, size = self.features.shape[0], cfg.batch_size
         per_epoch, steps = -(-n // size), cfg.local_steps  # steps still to serve
@@ -141,10 +147,15 @@ def all_finite(v: np.ndarray) -> bool:
 
 
 def _normalized(v: np.ndarray, rho: float) -> np.ndarray:
-    """rho * v / |v|, or zero when v has (near-)zero norm."""
+    """rho * v / |v|, or zero when v has (near-)zero norm.
+
+    |v| is sqrt(v . v), which is how ``np.linalg.norm`` computes the norm
+    of a float64 vector, so the result is the same to the bit, warnings
+    included; calling the dot product directly skips norm's dispatch.
+    """
     if not rho >= 0:
         raise ValueError("rho must be >= 0")
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))
     if norm < ZERO_NORM:
         return np.zeros_like(v)
     return (rho / norm) * v
@@ -164,21 +175,35 @@ def nsam_perturbation(m: np.ndarray, rho: float) -> np.ndarray:
     return _normalized(-m, rho)
 
 
-def round_constants(cfg, state) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(offset, ghat): nsam's probe offset and mosam's blend target.
+class RoundConstants(NamedTuple):
+    """What every client of a round shares, read from ``cfg`` and the round's state."""
 
-    Each is None for the other rules. Both read only ``cfg`` and the
-    round's ``state``, so every client of a round shares them.
-    """
+    kind: str  # the local rule: sgd, sam, mosam, nsam or lesam
+    steps: int  # K
+    rho: float
+    momentum: float
+    theta: np.ndarray  # the round's model, as float64
+    # the learning rate as a 0-d float64 array: the same product, to the
+    # bit, as with the Python float, but numpy converts no scalar per step
+    lr: np.ndarray
+    offset: np.ndarray | None  # nsam's probe offset
+    blend: np.ndarray | None  # mosam's (1 - momentum) * ghat
+
+
+def round_constants(cfg, state) -> RoundConstants:
+    """The round's shared constants; nsam's offset and mosam's blend target
+    are None for the other rules."""
     kind = cfg.local_rule
-    offset = ghat = None
+    offset = blend = None
     if kind == "nsam":
         offset = nsam_perturbation(state.momentum, cfg.rho)
         if cfg.extrapolate:
             offset = offset + cfg.momentum * state.momentum
     elif kind == "mosam":
         ghat = -state.last_delta / (state.lr * cfg.local_steps)
-    return offset, ghat
+        blend = (1.0 - cfg.momentum) * ghat
+    theta, lr = np.asarray(state.theta, dtype=np.float64), np.array(state.lr, dtype=np.float64)
+    return RoundConstants(kind, cfg.local_steps, cfg.rho, cfg.momentum, theta, lr, offset, blend)
 
 
 def local_round(
@@ -196,7 +221,10 @@ def local_round(
     the received theta in ``state.last_seen``. It is off for metric-only
     evaluations, which record nothing.
     ``constants`` is ``round_constants(cfg, state)``, which the server loop
-    computes once per round; when omitted it is computed here.
+    computes once per round; when omitted it is computed here. Given,
+    it is all that is read of ``cfg`` apart from the batch stream's
+    seed, batch size and K, and of ``state`` apart from round_index and
+    last_seen.
 
     Overflow is reported as a DivergenceError naming the client and step.
     The server loop silences numpy's floating-point warnings once per
@@ -205,29 +233,31 @@ def local_round(
     """
     if not client.evaluable:
         return None
-    kind = cfg.local_rule
-    theta = theta0 = np.asarray(state.theta, dtype=np.float64)
-    lr = state.lr
-
-    # a probe offset fixed for the round; mosam's blend target
-    offset, ghat = round_constants(cfg, state) if constants is None else constants
+    kind, steps, rho, momentum, theta0, lr, offset, blend = (
+        round_constants(cfg, state) if constants is None else constants
+    )
     if kind == "lesam":
         seen = state.last_seen.get(client.client_id, theta0)  # zero drift at first
-        offset = sam_perturbation(seen - theta0, cfg.rho)
+        offset = sam_perturbation(seen - theta0, rho)
     own_probe = kind in ("sam", "mosam")
 
-    stream = client.batches(cfg, state.round_index)
-    for k in range(cfg.local_steps):
-        X, y = next(stream)
+    grad = client.model.grad
+    X = y = stream = None
+    if client.features is not None:
+        stream = client.batches(cfg, state.round_index)
+    theta = theta0
+    for k in range(steps):
+        if stream is not None:
+            X, y = next(stream)
         if offset is not None:
             probe = theta + offset
         elif own_probe:
-            probe = theta + sam_perturbation(client.model.grad(theta, X, y), cfg.rho)
+            probe = theta + sam_perturbation(grad(theta, X, y), rho)
         else:
             probe = theta
-        g = client.model.grad(probe, X, y)
-        if ghat is not None:
-            g = cfg.momentum * g + (1.0 - cfg.momentum) * ghat
+        g = grad(probe, X, y)
+        if blend is not None:
+            g = momentum * g + blend
         theta = theta - lr * g
         if not all_finite(theta):
             raise DivergenceError(state.round_index, client.client_id, k)

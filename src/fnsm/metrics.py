@@ -162,17 +162,36 @@ def write_surface(grid: SurfaceGrid, path) -> None:
 
 
 def read_surface(path) -> tuple[np.ndarray, float, int]:
-    """Parse a surface file back into (values, span, res)."""
+    """Parse a surface file back into (values, span, res).
+
+    A malformed file (a header without ``res=`` or ``range=`` or with a
+    value that is not a number, a wrong number of rows, a ragged row or
+    a cell that is not a number) raises ValueError naming the file and
+    the line.
+    """
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith(SURFACE_HEADER):
         raise ValueError(f"{path}: not a surface grid file")
-    fields = dict(part.split("=", 1) for part in lines[0].split()[3:])
-    res = int(fields["res"])
-    span = float(fields["range"])
+    fields = dict(part.partition("=")[::2] for part in lines[0].split()[3:])
+    try:
+        res = int(fields["res"])
+        span = float(fields["range"])
+    except KeyError as exc:
+        raise ValueError(f"{path}:1: header has no {exc.args[0]}=") from None
+    except ValueError:
+        raise ValueError(f"{path}:1: res= or range= is not a number") from None
     if len(lines) != res + 1:
         raise ValueError(f"{path}: expected {res} rows, found {len(lines) - 1}")
-    values = np.array([[float(v) for v in line.split()] for line in lines[1:]])
-    if values.shape != (res, res):
-        raise ValueError(f"{path}: grid is not {res}x{res}")
+    values = np.empty((res, res))
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split()
+        if len(cells) != res:
+            raise ValueError(
+                f"{path}:{lineno}: grid is not {res}x{res}: row has {len(cells)} values"
+            )
+        try:
+            values[lineno - 2] = [float(v) for v in cells]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: a value is not a number") from None
     return values, span, res

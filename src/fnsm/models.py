@@ -3,8 +3,9 @@
 Three model families share one interface: ``loss(theta, X, y)`` returns
 the mean per-sample loss on a minibatch, ``grad(theta, X, y)`` its exact
 analytic gradient with respect to the flat parameter vector. Parameters
-are plain 1-D float64 arrays; ``blocks()`` exposes the per-layer slice
-structure used by filter-normalized surface directions.
+are plain 1-D float64 arrays of length ``dim``, fixed when the model is
+built; ``blocks()`` exposes the per-layer slice structure used by
+filter-normalized surface directions.
 
 All training arithmetic is 64-bit: the diagnostic quantities measured
 downstream sit at the 1e-3 scale and need the headroom. ``loss`` also
@@ -84,10 +85,7 @@ class Quadratic:
         _require_spd(A)
         self.A = A
         self.c = c
-
-    @property
-    def dim(self) -> int:
-        return self.c.shape[0]
+        self.dim = c.shape[0]
 
     def blocks(self) -> list[slice]:
         return [slice(0, self.dim)]
@@ -102,7 +100,8 @@ class Quadratic:
 
     def grad(self, theta, X=None, y=None) -> np.ndarray:
         theta = _check_theta(theta, self.dim)
-        return self.A @ (theta - self.c)
+        # the same product as ``self.A @ r``, to the bit, without matmul's dispatch
+        return self.A.dot(theta - self.c)
 
 
 class SoftmaxLinear:
@@ -116,10 +115,7 @@ class SoftmaxLinear:
             raise ValueError("need classes >= 2 and dim >= 1")
         self.classes = classes
         self.in_dim = dim
-
-    @property
-    def dim(self) -> int:
-        return self.classes * self.in_dim + self.classes
+        self.dim = classes * dim + classes
 
     def blocks(self) -> list[slice]:
         w = self.classes * self.in_dim
@@ -170,14 +166,11 @@ class Mlp1:
         self.in_dim = dim
         self.hidden = hidden
         self.classes = classes
+        self.dim = hidden * (dim + 1) + classes * (hidden + 1)
         w1 = hidden * dim
         b1 = w1 + hidden
         w2 = b1 + classes * hidden
         self._slices = (slice(0, w1), slice(w1, b1), slice(b1, w2), slice(w2, self.dim))
-
-    @property
-    def dim(self) -> int:
-        return self.hidden * (self.in_dim + 1) + self.classes * (self.hidden + 1)
 
     def blocks(self) -> list[slice]:
         return list(self._slices)

@@ -633,3 +633,36 @@ class TestCmdPartition:
         assert rows == [
             [c.client_id, len(c.labels), *np.bincount(c.labels, minlength=3)] for c in clients
         ]
+
+
+class TestReadRecords:
+    HEAD = "# fnsm 0.1.0 config=sha256:00\n" + fnsm.cli.CSV_COLUMNS + "\n"
+
+    def test_roundtrip_of_a_run(self, tmp_path):
+        p = write(tmp_path, "q.cfg", QUAD_CFG)
+        assert main(["run", "--config", p, "--out", str(tmp_path / "out")]) == 0
+        recs = read_records(tmp_path / "out" / "fedavg_seed1.csv")
+        assert [r.round for r in recs] == list(range(8))
+        assert [r.train_loss is not None for r in recs] == [False, True] * 4
+
+    @pytest.mark.parametrize(
+        "row, what",
+        [
+            ("3,0.5,,,", "expected 7 cells, found 5"),  # short: once padded with None
+            ("3,0.5,,,,,,9.0", "expected 7 cells, found 8"),  # long: once truncated
+            ("3,0.5,abc,,,,", "a cell is not a number"),
+            ("3.5,0.5,,,,,", "a cell is not a number"),  # the round is an integer
+        ],
+    )
+    def test_bad_row_names_path_and_line(self, tmp_path, row, what):
+        p = tmp_path / "bad.csv"
+        p.write_text(self.HEAD + "0,1.0,,,,,\n\n# a comment\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"^{p}:6: {what}$"):
+            read_records(p)
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "round,train_loss\n0,1.0\n"])
+    def test_missing_or_wrong_header_rejected(self, tmp_path, text):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            read_records(p)

@@ -115,8 +115,51 @@ class TestAggregate:
             aggregate([])
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="disagree on dimension"):
             aggregate([np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValueError, match="disagree on dimension"):
+            aggregate(np.zeros(3))  # one vector, not a stack of them
+
+    def test_empty_array_rejected(self):
+        with pytest.raises(ValueError, match="no client results"):
+            aggregate(np.zeros((0, 4)))
+
+
+def sequential_mean(deltas):
+    """The reference: an in-place sum from +0.0, in list order, then the mean."""
+    total = np.zeros_like(deltas[0])
+    for d in deltas:
+        total += d
+    return total / len(deltas)
+
+
+def stacks():
+    """Cases of stacked deltas: random scales and shapes, signed zeros, non-finite rows."""
+    rng = rng_for(3, "stacks")
+    cases = []
+    for n, d in [(1, 1), (1, 5), (2, 3), (7, 1), (8, 1), (20, 1), (129, 1), (8, 2),
+                 (20, 10), (33, 17), (5, 1002), (200, 3)]:
+        scale = 10.0 ** rng.uniform(-3, 3, (n, 1))
+        cases.append(pytest.param(rng.standard_normal((n, d)) * scale, id=f"random {n}x{d}"))
+    extreme = rng.standard_normal((30, 4)) * 10.0 ** rng.uniform(-300, 300, (30, 1))
+    cases.append(pytest.param(extreme, id="extreme scales"))
+    cases.append(pytest.param(np.full((6, 4), -0.0), id="all -0.0"))
+    cases.append(pytest.param(np.full((9, 1), -0.0), id="-0.0 column of 9"))
+    mixed = rng.standard_normal((6, 5))
+    mixed[1, 0], mixed[2, 1], mixed[3, 2], mixed[4, 3] = np.nan, np.inf, -np.inf, -0.0
+    mixed[5, 2] = np.inf  # +inf after -inf in the same column: NaN
+    cases.append(pytest.param(mixed, id="NaN and infinite rows"))
+    cases.append(pytest.param(np.full((4, 3), 1e308), id="overflowing sum"))
+    return cases
+
+
+class TestAggregateIsTheSequentialSum:
+    @pytest.mark.parametrize("rows", stacks())
+    def test_array_and_list_match_the_loop_byte_for_byte(self, rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = sequential_mean(list(rows))
+            for got in (aggregate(rows), aggregate(list(rows)), aggregate(np.asfortranarray(rows))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestServerUpdate:

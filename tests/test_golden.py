@@ -1,5 +1,10 @@
 """Golden output digests: the sha256 of every byte the CLI writes for fixed inputs.
 
+The inputs: an MLP compare over all six algorithms on generated data and
+on the same data read from a CSV file, the ``partition`` command's
+standard output for that file, a quadratic compare at full participation
+and a loss-surface slice.
+
 A change that claims to keep outputs bit-identical passes this test
 unchanged. A change that moves the reference on purpose updates
 ``GOLDEN`` in the same diff and says how large the move is. Float
@@ -9,12 +14,16 @@ the setup they were pinned on, and a mismatch reports both setups.
 digests and setup in ``GOLDEN``'s layout.
 """
 
+import contextlib
 import hashlib
+import io
+import os
 import platform
 
 import numpy as np
 
 from fnsm.cli import main
+from fnsm.data import save_csv, synth_gaussian_mixture
 from fnsm.federation import ALGORITHMS
 
 ALGOS = ",".join(ALGORITHMS)
@@ -45,6 +54,10 @@ run.seeds = 3
 run.eval_every = 5
 run.checkpoint_every = 10
 """
+
+# MLP_CFG reading its mixture from a CSV file; the path is hashed into every
+# output's provenance line, so it is relative to the working directory
+CSV_CFG = MLP_CFG.replace("data.kind = synthetic", "data.kind = csv\ndata.csv_path = mix.csv")
 
 # full participation on data-free clients
 QUAD_CFG = """\
@@ -82,6 +95,20 @@ GOLDEN = {
     "mlp/mofedsam_seed3.ckpt": "4aebf0e8c1b540b13ca6d8867eb30cad17767546365b5041cad7bb097f8a8df2",
     "mlp/mofedsam_seed3.csv": "5e74ccb31a78d639cd8019fe0fe489c57b2d657eacc6f5ed902b6aeefb72bd93",
     "mlp/summary.csv": "3af5c894d919dc5272be474daf00b17513bfc0b5444b276677bfceb7592cf3fb",
+    "csv/fedavg_seed3.ckpt": "4a7a641eedee21ad20ac447ecf3a9b46fe920c5d9f1fae9ecbe3b2940171e1c4",
+    "csv/fedavg_seed3.csv": "da27d684b4d03f2f77317348f11666848a7f1bbcb18a764915b5dcaef8bde6db",
+    "csv/fedavgm_seed3.ckpt": "f565b7cd3ac0e957bd44037100605f18dc2578511fd39fdeeac78f49f73ebde5",
+    "csv/fedavgm_seed3.csv": "405c82f159bd43e2855415a7c7b759603a845c7aaf6f5e33c69166651965bd5e",
+    "csv/fedlesam_seed3.ckpt": "010b7d4b4b82fd318668fbac1790f6b4f438a8a845583a5554d76bd2e2a06eb1",
+    "csv/fedlesam_seed3.csv": "7237518815d744a81eea0680f8c83cdeb119d5372d79d596f908814495fdb562",
+    "csv/fednsam_seed3.ckpt": "7aa9c4cb68876c478fe54b4fab3ed78b86cefcaa4b9de982f27a319ac1378755",
+    "csv/fednsam_seed3.csv": "b879584601b686537268cc5cc67677f55714531747ecf89a10849587e87dcce8",
+    "csv/fedsam_seed3.ckpt": "bd4bf65f09fb29867064640947ca473182953ad71b67bfd6fa529056aa44eba8",
+    "csv/fedsam_seed3.csv": "62ed873b1904b3384ff84295e653d0e984a19439f51673036984ac3b578c389c",
+    "csv/mofedsam_seed3.ckpt": "4aebf0e8c1b540b13ca6d8867eb30cad17767546365b5041cad7bb097f8a8df2",
+    "csv/mofedsam_seed3.csv": "4327035fb6548aee304ab3412ab617cf513aefdb423a0ee44997cecd109352dc",
+    "csv/summary.csv": "a117f3450707fd15e02dcf88e5c46bf20a57bcddcbeba35932d8936d7adc4aed",
+    "partition/stdout": "8f829b4cf0b4610b2f3a1f6939ba001129fe15fd0d07dbf3d7ae3c62f598dcf2",
     "quad/fedavg_seed2.ckpt": "e3b8e4cb8ce4617258ac5131329ba9ba27cef061d1f3926b077f2d91dcb097c9",
     "quad/fedavg_seed2.csv": "2afaf2acbbdebb0d1349dbd55ecebe75352c8f9b6d2b3d2ea608cd7241f19fea",
     "quad/fedavgm_seed2.ckpt": "5e5592d05ed8eac48e105c4bb0c578c4bd91db29e240f96521a93ac9fc016df6",
@@ -124,8 +151,24 @@ def cli(tmp_path, name, text, *argv):
     return out
 
 
+def csv_outputs(tmp_path):
+    """(the CSV-backed compare's output directory, the partition command's stdout)."""
+    save_csv(synth_gaussian_mixture(4, 6, 600, 1.0, seed=3), tmp_path / "mix.csv")
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        out = cli(tmp_path, "csv.cfg", CSV_CFG, "compare", "--algos", ALGOS)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            cli(tmp_path, "partition.cfg", CSV_CFG, "partition")
+    finally:
+        os.chdir(cwd)
+    return out, stdout.getvalue()
+
+
 def outputs(tmp_path) -> dict:
     mlp = cli(tmp_path, "mlp.cfg", MLP_CFG, "compare", "--algos", ALGOS)
+    csv, partition = csv_outputs(tmp_path)
     quad = cli(tmp_path, "quad.cfg", QUAD_CFG, "compare", "--algos", ALGOS)
     surface = cli(
         tmp_path, "surface.cfg", MLP_CFG, "surface", "--set", "fed.algorithm=fednsam",
@@ -133,6 +176,8 @@ def outputs(tmp_path) -> dict:
     )
     return {
         **{f"mlp/{k}": v for k, v in digests(mlp).items()},
+        **{f"csv/{k}": v for k, v in digests(csv).items()},
+        "partition/stdout": hashlib.sha256(partition.encode()).hexdigest(),
         **{f"quad/{k}": v for k, v in digests(quad).items()},
         **{f"surface/{k}": v for k, v in digests(surface).items()},
     }

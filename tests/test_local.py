@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fnsm import (
+    ALGORITHMS,
     ClientState,
     DivergenceError,
     FedConfig,
@@ -18,6 +19,7 @@ from fnsm import (
     sam_perturbation,
     synth_gaussian_mixture,
 )
+from fnsm.local import ZERO_NORM, _normalized, round_constants
 
 
 def server(theta, momentum=None, last_delta=None, lr=0.1, round_index=0):
@@ -83,6 +85,48 @@ class TestPerturbations:
             nsam_perturbation(np.ones(2), -0.1)
         with pytest.raises(ValueError):
             sam_perturbation(np.ones(2), float("nan"))
+
+
+def norm_normalized(v, rho):
+    """The reference: rho * v / |v| with |v| from np.linalg.norm."""
+    norm = float(np.linalg.norm(v))
+    return np.zeros_like(v) if norm < ZERO_NORM else (rho / norm) * v
+
+
+class TestNormalizedIsNormsResult:
+    TINY = np.finfo(float).smallest_subnormal
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            np.zeros(4),
+            np.full(3, -0.0),
+            np.array([TINY, -3 * TINY, 0.0]),  # subnormal: the squared norm underflows to 0
+            np.array([1e-160, 2e-160]),  # squared entries subnormal
+            np.array([1e-6, -2e-7, 3e-7]),  # norm just above ZERO_NORM
+            np.array([3e200, -4e200]),  # the squared norm overflows: |v| = inf
+            np.array([1e154, 1e154, 1e154]),
+            np.array([np.nan, 1.0]),
+            np.array([np.inf, 1.0]),
+            np.array([-np.inf, np.inf]),
+        ],
+    )
+    def test_special_vectors(self, v):
+        for rho in (0.0, 0.1, 3.0):
+            with warnings.catch_warnings(record=True) as got_warnings:
+                warnings.simplefilter("always")
+                got = _normalized(v, rho)
+            with warnings.catch_warnings(record=True) as want_warnings:
+                warnings.simplefilter("always")
+                want = norm_normalized(v, rho)
+            assert got.tobytes() == want.tobytes()
+            assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+
+    def test_random_vectors(self):
+        rng = rng_for(8, "norm")
+        for _ in range(500):
+            v = rng.standard_normal(int(rng.integers(1, 1100))) * 10.0 ** rng.uniform(-150, 150)
+            assert _normalized(v, 0.7).tobytes() == norm_normalized(v, 0.7).tobytes()
 
 
 class TestRuleValidation:
@@ -235,6 +279,67 @@ class TestLesamStep:
         cfg = fed("fedlesam", rho=0.1, local_steps=2, seed=8)
         local_round(cfg, state, client, update_client_state=False)
         assert np.array_equal(state.last_seen[client.client_id], np.full(client.model.dim, 0.25))
+
+
+def reference_round(cfg, state, client):
+    """The reference for a quadratic client's local round: every shared
+    quantity recomputed inside the round, |v| from np.linalg.norm, mosam's
+    (1 - momentum) * ghat formed at every step, lr a Python float and the
+    gradient A @ (theta - c)."""
+    A, c = client.model.A, client.model.c
+    kind = cfg.local_rule
+    theta = theta0 = np.asarray(state.theta, dtype=np.float64)
+    offset = ghat = None
+    if kind == "nsam":
+        offset = norm_normalized(-state.momentum, cfg.rho)
+        if cfg.extrapolate:
+            offset = offset + cfg.momentum * state.momentum
+    elif kind == "mosam":
+        ghat = -state.last_delta / (state.lr * cfg.local_steps)
+    elif kind == "lesam":
+        offset = norm_normalized(state.last_seen.get(client.client_id, theta0) - theta0, cfg.rho)
+    for _ in range(cfg.local_steps):
+        if offset is not None:
+            probe = theta + offset
+        elif kind in ("sam", "mosam"):
+            probe = theta + norm_normalized(A @ (theta - c), cfg.rho)
+        else:
+            probe = theta
+        g = A @ (probe - c)
+        if ghat is not None:
+            g = cfg.momentum * g + (1.0 - cfg.momentum) * ghat
+        theta = theta - state.lr * g
+    return theta
+
+
+class TestDataFreeRoundIsTheReference:
+    @pytest.mark.parametrize("local_steps", [1, 3])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_byte_for_byte(self, algorithm, local_steps):
+        rng = rng_for(21, "reference", algorithm, local_steps)
+        for trial in range(40):
+            d = int(rng.integers(1, 12))
+            M = rng.standard_normal((d, d))
+            client = ClientState(7, Quadratic(M @ M.T + 0.5 * np.eye(d), rng.standard_normal(d)))
+            theta = rng.standard_normal(d)
+            state = server(
+                theta, momentum=rng.standard_normal(d) * rng.uniform(0, 2),
+                last_delta=rng.standard_normal(d) * rng.uniform(0, 2),
+                lr=float(rng.uniform(0.001, 0.3)), round_index=int(rng.integers(0, 50)),
+            )
+            if trial % 2:
+                state.last_seen[7] = theta + 0.1 * rng.standard_normal(d)
+            cfg = fed(
+                algorithm, rho=float(rng.choice([0.0, rng.uniform(0, 0.5)])),
+                momentum=float(rng.uniform(0, 0.95)), extrapolate=bool(trial % 3),
+                local_steps=local_steps,
+            )
+            want = reference_round(cfg, state, client)
+            for got in (
+                local_round(cfg, state, client, False),
+                local_round(cfg, state, client, False, round_constants(cfg, state)),
+            ):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestEdges:

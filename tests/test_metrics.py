@@ -199,3 +199,20 @@ class TestLossSurface:
         assert span == 0.8 and res == 5
         first = p.read_text().splitlines()[0]
         assert first.startswith("# fnsm-surface v1 res=5 range=")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("range=0.5\n1 2 3\n", r":1: header has no res="),
+            ("res=3\n1 2 3\n", r":1: header has no range="),
+            ("res=x range=0.5\n", r":1: res= or range= is not a number"),
+            ("res=3 range=0.5\n1 2 3\n4 x 6\n7 8 9\n", r":3: a value is not a number"),
+            ("res=3 range=0.5\n1 2 3\n4 5\n7 8 9\n", r":3: grid is not 3x3"),
+            ("res=3 range=0.5\n1 2 3\n4 5 6\n7 8 9 10\n", r":4: grid is not 3x3"),
+        ],
+    )
+    def test_malformed_file_names_path_and_line(self, tmp_path, text, where):
+        p = tmp_path / "grid.txt"
+        p.write_text("# fnsm-surface v1 " + text)
+        with pytest.raises(ValueError, match="^" + str(p) + where):
+            read_surface(p)

@@ -39,6 +39,23 @@ class TestQuadratic:
         q = Quadratic(np.diag([2.0, 1.0]), np.zeros(2))
         assert np.array_equal(q.grad(np.ones(2)), np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided theta"])
+    def test_grad_is_the_matmul_byte_for_byte(self, layout):
+        rng = rng_for(1, "quadgrad", layout)
+        for _ in range(300):
+            d = int(rng.integers(1, 40))
+            M = rng.standard_normal((d, d))
+            A = M @ M.T + d * np.eye(d)
+            q = Quadratic(np.asfortranarray(A) if layout == "F" else A, rng.standard_normal(d))
+            theta = rng.standard_normal(2 * d)
+            theta = theta[::2] if layout == "strided theta" else theta[:d]
+            theta *= 10.0 ** rng.uniform(-100, 100)
+            assert q.grad(theta).tobytes() == (q.A @ (theta - q.c)).tobytes()
+        # a longdouble theta keeps its type and value (its padding bytes are undefined)
+        theta = rng.standard_normal(d).astype(np.longdouble) / 3
+        got, want = q.grad(theta), q.A @ (theta - q.c)
+        assert got.dtype == want.dtype == np.longdouble and np.array_equal(got, want)
+
     def test_batch_independent(self):
         rng = rng_for(0, "quadbatch")
         q = Quadratic(np.diag([2.0, 1.0]), np.zeros(2))
