@@ -368,8 +368,8 @@ def save_checkpoint(path, state: ServerState) -> None:
 def load_checkpoint(path, cfg: FedConfig) -> ServerState:
     """Read a snapshot back; the learning rate is replayed from the config.
 
-    Raises ValueError naming the file when it is malformed or holds a
-    non-finite value (a run that diverged never resumes).
+    Raises ValueError naming the file when it is malformed, claims a round
+    past cfg.rounds or holds a non-finite value (a diverged run never resumes).
 
     Replaying the decay multiplication round by round (rather than using a
     power) reproduces the exact float the uninterrupted run would hold.
@@ -384,6 +384,8 @@ def load_checkpoint(path, cfg: FedConfig) -> ServerState:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (round_index,) = struct.unpack_from("<I", blob, 8)
+    if round_index > cfg.rounds:  # before the lr replay below, which loops per round
+        raise ValueError(f"{path}: round {round_index} is past fed.rounds = {cfg.rounds}")
     (d,) = struct.unpack_from("<Q", blob, 12)
     need = 20 + 3 * 8 * d
     if len(blob) != need:

@@ -33,20 +33,19 @@ already scaled) is read from ``cfg`` and ``state`` once, by
 ``round_constants``. The server loop computes it once per round and
 hands it to each client's local_round; a direct call computes its own.
 Per client there remains only the client's own work: lesam's offset
-from its memory, the batch stream of a client that holds data (a
-data-free client gets none) and K steps of gradient arithmetic. The
-server loop also silences numpy's overflow warnings once per round; a
-direct call does not, so a diverging client may warn before it raises.
+from its memory and one step per batch of the round. The server loop
+also silences numpy's overflow warnings once per round; a direct call
+does not, so a diverging client may warn before it raises.
 
-Each client draws batches from a stream keyed by (seed, client, round):
-a fresh without-replacement shuffle per local epoch, short final batch
-kept. Each epoch gathers, in one copy, the rows of that epoch which the
-round's cfg.local_steps steps still take (the whole shard when they
-cover the epoch, fewer when the round ends inside it), and its batches
-are slices of that copy; so a round copies the same rows as one gather
-per step, never more. Keying the stream by round makes a client's
-result depend only on the arguments of local_round, so clients can run
-in any order.
+One loop runs every client's K steps over a stream of exactly K
+batches: K (None, None) for a data-free client; for a client with data,
+a stream keyed by (seed, client, round), reshuffled without replacement
+per local epoch, short final batch kept. Each epoch gathers in one copy
+the rows the round takes from it (the whole shard, or fewer when the
+round ends inside the epoch) and slices its batches from that copy, so
+a round copies the same rows as one gather per step. Keying the stream
+by round makes a client's result depend only on the arguments of
+local_round, so clients can run in any order.
 
 Every local step checks that theta is still finite (``all_finite``):
 one dot product, whose squared norm is non-finite whenever an entry is
@@ -56,6 +55,7 @@ too; the exact elementwise test then runs and lets it pass.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -114,26 +114,23 @@ class ClientState:
         return self.model.grad(theta, self.features, self.labels)
 
     def batches(self, cfg, round_index: int):
-        """Endless stream of cfg.batch_size minibatches, reshuffled per epoch.
+        """The round's cfg.local_steps minibatches of cfg.batch_size, reshuffled per epoch.
 
-        The first cfg.local_steps batches are views of one gathered copy
-        per epoch, holding only the rows those steps take; any batch past
-        them is gathered on its own.
+        Each epoch's batches are views of one gathered copy holding only
+        the rows the round takes from that epoch. An empty shard has no
+        batches: drawing from it raises ValueError naming the client.
         """
+        n, size, steps = self.features.shape[0], cfg.batch_size, cfg.local_steps
+        if n == 0:
+            raise ValueError(f"client {self.client_id} has an empty shard: no batches to draw")
         rng = rng_for(cfg.seed, "batch", self.client_id, round_index)
-        n, size = self.features.shape[0], cfg.batch_size
-        per_epoch, steps = -(-n // size), cfg.local_steps  # steps still to serve
-        while True:
+        while steps:  # batches still to serve
             order = rng.permutation(n)
             stop = min(n, steps * size)
-            steps -= min(steps, per_epoch)
+            steps -= -(-stop // size)
             X, y = self.features[order[:stop]], self.labels[order[:stop]]
-            for start in range(0, n, size):
-                if start < stop:
-                    yield X[start : start + size], y[start : start + size]
-                else:
-                    take = order[start : start + size]
-                    yield self.features[take], self.labels[take]
+            for start in range(0, stop, size):
+                yield X[start : start + size], y[start : start + size]
 
 
 def all_finite(v: np.ndarray) -> bool:
@@ -242,13 +239,10 @@ def local_round(
     own_probe = kind in ("sam", "mosam")
 
     grad = client.model.grad
-    X = y = stream = None
-    if client.features is not None:
-        stream = client.batches(cfg, state.round_index)
+    batches = (repeat((None, None), steps) if client.features is None
+               else client.batches(cfg, state.round_index))
     theta = theta0
-    for k in range(steps):
-        if stream is not None:
-            X, y = next(stream)
+    for k, (X, y) in enumerate(batches):
         if offset is not None:
             probe = theta + offset
         elif own_probe:

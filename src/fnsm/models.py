@@ -5,7 +5,8 @@ the mean per-sample loss on a minibatch, ``grad(theta, X, y)`` its exact
 analytic gradient with respect to the flat parameter vector. Parameters
 are plain 1-D float64 arrays of length ``dim``, fixed when the model is
 built; ``blocks()`` exposes the per-layer slice structure used by
-filter-normalized surface directions.
+filter-normalized surface directions. Both classifiers share one in-place
+forward pass and softmax head, bit-identical to the textbook forms.
 
 All training arithmetic is 64-bit: the diagnostic quantities measured
 downstream sit at the 1e-3 scale and need the headroom. ``loss`` also
@@ -52,21 +53,30 @@ def _check_batch(X, y):
     return np.asarray(X, dtype=np.float64), np.asarray(y)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    # max-subtraction keeps exp() in range for any logit scale
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def _scalar(value, theta: np.ndarray):
     """A loss value as a Python float, or as np.longdouble for a longdouble theta."""
     return value if theta.dtype == np.longdouble else float(value)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _mean_xent(Z: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy of the logits Z (n x classes), overwriting Z: to the bit
+    ``-log_softmax(Z)[arange(n), y].mean()``, whose mean also sums a fresh
+    contiguous vector (numpy sums a strided axis in another order)."""
+    Z -= np.maximum.reduce(Z, axis=1, keepdims=True)  # keeps exp() in range
+    picked = Z[np.arange(len(y)), y]
+    np.exp(Z, out=Z)
+    picked -= np.log(np.add.reduce(Z, axis=1))
+    return -picked.mean()
+
+
+def _dlogits(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d(mean cross-entropy)/dZ = (softmax(Z) - onehot(y)) / n, written over Z."""
+    Z -= np.maximum.reduce(Z, axis=1, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= np.add.reduce(Z, axis=1, keepdims=True)
+    Z[np.arange(len(y)), y] -= 1.0
+    Z /= len(y)
+    return Z
 
 
 class Quadratic:
@@ -131,20 +141,19 @@ class SoftmaxLinear:
 
     def _logits(self, theta, X):
         W, b = self._unpack(theta)
-        return X @ W.T + b
+        Z = X @ W.T
+        Z += b
+        return Z
 
     def loss(self, theta, X, y) -> float:
         theta = _check_theta(theta, self.dim)
         X, y = _check_batch(X, y)
-        logp = _log_softmax(self._logits(theta, X))
-        return _scalar(-logp[np.arange(len(y)), y].mean(), theta)
+        return _scalar(_mean_xent(self._logits(theta, X), y), theta)
 
     def grad(self, theta, X, y) -> np.ndarray:
         theta = _check_theta(theta, self.dim)
         X, y = _check_batch(X, y)
-        P = _softmax(self._logits(theta, X))
-        P[np.arange(len(y)), y] -= 1.0
-        P /= len(y)
+        P = _dlogits(self._logits(theta, X), y)
         return np.concatenate([(P.T @ X).ravel(), P.sum(axis=0)])
 
     def predict(self, theta, X) -> np.ndarray:
@@ -191,47 +200,40 @@ class Mlp1:
             for f, s in zip(fan_in, self.blocks())
         ])
 
-    def _forward(self, theta, X):
-        W1, b1, W2, b2 = self._unpack(theta)
-        H = np.tanh(X @ W1.T + b1)
-        return H, H @ W2.T + b2
+    def _forward(self, params, X):
+        W1, b1, W2, b2 = params
+        H = X @ W1.T
+        H += b1
+        np.tanh(H, out=H)
+        Z = H @ W2.T
+        Z += b2
+        return H, Z
 
     def loss(self, theta, X, y) -> float:
         theta = _check_theta(theta, self.dim)
         X, y = _check_batch(X, y)
-        _, logits = self._forward(theta, X)
-        logp = _log_softmax(logits)
-        return _scalar(-logp[np.arange(len(y)), y].mean(), theta)
+        _, Z = self._forward(self._unpack(theta), X)
+        return _scalar(_mean_xent(Z, y), theta)
 
     def grad(self, theta, X, y) -> np.ndarray:
         """Mean cross-entropy gradient, written block by block into one vector.
 
-        Each intermediate is formed once and then updated in place, and
-        the four blocks are computed straight into their views of the
-        result. Every element goes through the same operations, in the
-        same order, as the textbook form ``concatenate([dH.T @ X,
-        dH.sum(0), P.T @ H, P.sum(0)])``, so the result is bit-identical
-        to it; on ~1k-parameter models the cost is per call, not per flop.
+        Past the forward pass and the head, each intermediate is still
+        updated in place and each block computed straight into its view of
+        the result, op for op the textbook ``concatenate([dH.T @ X,
+        dH.sum(0), P.T @ H, P.sum(0)])``, so bit-identical to it; on
+        ~1k-parameter models the cost is per call, not per flop.
         """
         theta = _check_theta(theta, self.dim)
         X, y = _check_batch(X, y)
-        W1, b1, W2, b2 = self._unpack(theta)
-        n = len(y)
-        H = X @ W1.T
-        H += b1
-        np.tanh(H, out=H)
-        P = H @ W2.T  # logits, then softmax probabilities, then dL/dlogits
-        P += b2
-        P -= np.maximum.reduce(P, axis=1, keepdims=True)
-        np.exp(P, out=P)
-        P /= np.add.reduce(P, axis=1, keepdims=True)
-        P[np.arange(n), y] -= 1.0
-        P /= n
+        params = self._unpack(theta)
+        H, Z = self._forward(params, X)
+        P = _dlogits(Z, y)
         g = np.empty(self.dim, dtype=H.dtype)  # float64, or longdouble for such a theta
         s = self._slices
         np.matmul(P.T, H, out=g[s[2]].reshape(self.classes, self.hidden))
         np.add.reduce(P, axis=0, out=g[s[3]])
-        dH = P @ W2
+        dH = P @ params[2]
         H *= H
         np.subtract(1.0, H, out=H)
         dH *= H
@@ -241,8 +243,8 @@ class Mlp1:
 
     def predict(self, theta, X) -> np.ndarray:
         theta = _check_theta(theta, self.dim)
-        _, logits = self._forward(theta, np.asarray(X, dtype=np.float64))
-        return np.argmax(logits, axis=1)
+        _, Z = self._forward(self._unpack(theta), np.asarray(X, dtype=np.float64))
+        return np.argmax(Z, axis=1)
 
 
 def grad_check(model, theta, X=None, y=None, h: float = 1e-5) -> float:

@@ -541,8 +541,9 @@ class TestCmdSurface:
             lambda b: b[:4] + struct.pack("<I", 9) + b[8:],
             lambda b: b[:-8],
             lambda b: b[:10],
+            lambda b: b[:8] + struct.pack("<I", 2**32 - 1) + b[12:],
         ],
-        ids=["magic", "version", "truncated", "truncated_header"],
+        ids=["magic", "version", "truncated", "truncated_header", "round_past_fed_rounds"],
     )
     def test_bad_checkpoint_exits_2_naming_it(self, tmp_path, capsys, corrupt):
         cfg, ckpt, out = self.setup_ckpt(tmp_path)

@@ -1,5 +1,7 @@
 """Server loop: sampling, aggregation, momentum, determinism, checkpoints."""
 
+import struct
+import time
 from copy import deepcopy
 from dataclasses import fields, replace
 
@@ -454,6 +456,23 @@ class TestCheckpoints:
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(ValueError):
             load_checkpoint(p, small_cfg())
+
+
+    def test_rejects_a_round_past_fed_rounds_before_replaying_lr(self, tmp_path):
+        cfg = small_cfg(rounds=5)
+        st = initial_state(cfg, 3)
+        st.round_index = 5  # what the run's final checkpoint holds
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(p, st)
+        assert load_checkpoint(p, cfg).round_index == 5
+        blob = bytearray(p.read_bytes())
+        struct.pack_into("<I", blob, 8, 2**32 - 1)
+        p.write_bytes(bytes(blob))
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(p, cfg)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == f"{p}: round 4294967295 is past fed.rounds = 5"
 
 
 def run_and_checkpoint(cfg, path):

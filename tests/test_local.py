@@ -362,11 +362,9 @@ class TestEdges:
 
     def test_batches_cover_shard_without_replacement(self):
         client = data_client(seed=9, n=40)
-        stream = client.batches(fed("fedavg", seed=9, batch_size=16), round_index=0)
-        seen = []
-        for _ in range(3):  # one epoch: 16 + 16 + 8
-            X, _ = next(stream)
-            seen.append(X)
+        # K = 3 steps take one epoch: 16 + 16 + 8, and the stream ends there
+        cfg = fed("fedavg", local_steps=3, seed=9, batch_size=16)
+        seen = [X for X, _ in client.batches(cfg, round_index=0)]
         sizes = [len(x) for x in seen]
         assert sizes == [16, 16, 8]
         stacked = np.vstack(seen)
@@ -442,11 +440,35 @@ class TestBatchStream:
         )
         cfg = fed("fedavg", seed=11, batch_size=batch_size, local_steps=local_steps)
         stream, ref = client.batches(cfg, 6), reference_batches(client, cfg, 6)
-        steps = 3 * -(-n // batch_size) + 1  # three epochs and one batch into the fourth
-        for _ in range(steps):
+        for _ in range(local_steps):
             (X, y), (X_ref, y_ref) = next(stream), next(ref)
             assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
             assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+        assert next(stream, None) is None  # the round's K batches, then the stream ends
+
+    @pytest.mark.parametrize("local_steps", [1, 4, 100])
+    @pytest.mark.parametrize("n, batch_size", [(40, 16), (30, 10), (10, 32), (1, 8), (7, 1)])
+    def test_a_round_steps_through_exactly_its_k_batches(self, n, batch_size, local_steps):
+        rng = rng_for(n, "round")
+        client = ClientState(
+            client_id=2, model=SoftmaxLinear(3, 4),
+            features=rng.standard_normal((n, 4)), labels=rng.integers(0, 3, n),
+        )
+        cfg = fed("fedavg", seed=12, batch_size=batch_size, local_steps=local_steps)
+        state = server(rng.standard_normal(client.model.dim), lr=0.3, round_index=5)
+        theta, ref = state.theta, reference_batches(client, cfg, 5)
+        for _ in range(local_steps):
+            X, y = next(ref)
+            theta = theta - 0.3 * client.model.grad(theta, X, y)
+        assert local_round(cfg, state, client).tobytes() == theta.tobytes()
+
+    def test_an_empty_shard_raises_naming_the_client(self):
+        client = ClientState(
+            client_id=4, model=SoftmaxLinear(3, 4),
+            features=np.empty((0, 4)), labels=np.empty(0, dtype=int),
+        )
+        with pytest.raises(ValueError, match="client 4 has an empty shard"):
+            next(client.batches(fed("fedavg", local_steps=3), 0))
 
     def test_a_round_gathers_only_the_rows_its_steps_take(self):
         rng = rng_for(0, "stream")

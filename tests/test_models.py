@@ -226,26 +226,96 @@ def reference_check_theta(theta, dim):
     return theta
 
 
-def reference_mlp_grad(model, theta, X, y):
-    """Mlp1.grad in its textbook form: fresh temporaries and one concatenate."""
-    theta = reference_check_theta(theta, model.dim)
-    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
-    h, d, c = model.hidden, model.in_dim, model.classes
+def reference_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def reference_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_unpack(model, theta):
+    """Either classifier's weight blocks, sliced by hand from the flat layout."""
+    c, d = model.classes, model.in_dim
+    if isinstance(model, SoftmaxLinear):
+        return theta[: c * d].reshape(c, d), theta[c * d :]
+    h = model.hidden
     W1 = theta[: h * d].reshape(h, d)
     b1 = theta[h * d : h * d + h]
     W2 = theta[h * d + h : h * d + h + c * h].reshape(c, h)
     b2 = theta[h * d + h + c * h :]
+    return W1, b1, W2, b2
+
+
+def reference_forward(model, theta, X):
+    """The allocating forward pass: (the softmax head's input, logits)."""
+    X = np.asarray(X, dtype=np.float64)
+    if isinstance(model, SoftmaxLinear):
+        W, b = reference_unpack(model, theta)
+        return X, X @ W.T + b
+    W1, b1, W2, b2 = reference_unpack(model, theta)
     H = np.tanh(X @ W1.T + b1)
-    logits = H @ W2.T + b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    P = e / e.sum(axis=1, keepdims=True)
+    return H, H @ W2.T + b2
+
+
+def reference_loss(model, theta, X, y):
+    theta = reference_check_theta(theta, model.dim)
+    y = np.asarray(y)
+    _, logits = reference_forward(model, theta, X)
+    value = -reference_log_softmax(logits)[np.arange(len(y)), y].mean()
+    return value if theta.dtype == np.longdouble else float(value)
+
+
+def reference_grad(model, theta, X, y):
+    """Either classifier's gradient in its textbook form: fresh temporaries and one concatenate."""
+    theta = reference_check_theta(theta, model.dim)
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    H, logits = reference_forward(model, theta, X)
+    P = reference_softmax(logits)
     P[np.arange(len(y)), y] -= 1.0
     P /= len(y)
+    head = [(P.T @ H).ravel(), P.sum(axis=0)]
+    if isinstance(model, SoftmaxLinear):
+        return np.concatenate(head)
+    W2 = reference_unpack(model, theta)[2]
     dH = (P @ W2) * (1.0 - H * H)
-    return np.concatenate(
-        [(dH.T @ X).ravel(), dH.sum(axis=0), (P.T @ H).ravel(), P.sum(axis=0)]
+    return np.concatenate([(dH.T @ X).ravel(), dH.sum(axis=0), *head])
+
+
+def reference_predict(model, theta, X):
+    return np.argmax(reference_forward(model, np.asarray(theta, dtype=np.float64), X)[1], axis=1)
+
+
+class TestClassifierHead:
+    """Both classifiers' in-place forward pass and softmax head against the allocating forms."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(["softmax", "mlp"]),
+        n=st.integers(1, 400),
+        dims=st.tuples(st.integers(1, 12), st.integers(1, 24), st.integers(2, 10)),
+        scale=st.sampled_from([1e-3, 0.3, 1.0, 5.0, 100.0]),
+        labels=st.integers(1, 10),  # distinct labels drawn from, down to one for the whole batch
+        seed=st.integers(0, 2**32 - 1),
     )
+    def test_bit_identical_to_the_allocating_forms(self, kind, n, dims, scale, labels, seed):
+        d, h, c = dims
+        model = Mlp1(d, h, c) if kind == "mlp" else SoftmaxLinear(c, d)
+        rng = np.random.default_rng(seed)
+        theta = scale * model.init_params(rng)
+        X = rng.standard_normal((n, d))
+        y = rng.integers(0, min(labels, c), n)
+        loss, want = model.loss(theta, X, y), reference_loss(model, theta, X, y)
+        assert type(loss) is float and np.float64(loss).tobytes() == np.float64(want).tobytes()
+        assert model.grad(theta, X, y).tobytes() == reference_grad(model, theta, X, y).tobytes()
+        assert model.predict(theta, X).tobytes() == reference_predict(model, theta, X).tobytes()
+        # a longdouble theta keeps its type and value (its padding bytes are undefined)
+        wide = theta.astype(np.longdouble)
+        loss, want = model.loss(wide, X, y), reference_loss(model, wide, X, y)
+        assert type(loss) is np.longdouble and loss == want
 
 
 class TestMlpGradKernel:
@@ -264,7 +334,7 @@ class TestMlpGradKernel:
         y = rng.integers(0, model.classes, n)
         got = model.grad(theta, X, y)
         assert got.dtype == np.float64 and got.shape == (model.dim,)
-        assert got.tobytes() == reference_mlp_grad(model, theta, X, y).tobytes()
+        assert got.tobytes() == reference_grad(model, theta, X, y).tobytes()
 
     def test_bit_identical_on_batch_views_lists_and_longdouble(self):
         model = Mlp1(6, 9, 4)
@@ -272,13 +342,13 @@ class TestMlpGradKernel:
         theta = model.init_params(rng)
         X = rng.standard_normal((50, 6))
         y = rng.integers(0, 4, 50)
-        ref = reference_mlp_grad(model, theta, X[7:40], y[7:40]).tobytes()
+        ref = reference_grad(model, theta, X[7:40], y[7:40]).tobytes()
         assert model.grad(theta, X[7:40], y[7:40]).tobytes() == ref
         assert model.grad(list(theta), X[7:40].tolist(), y[7:40].tolist()).tobytes() == ref
         wide = theta.astype(np.longdouble)
         got = model.grad(wide, X, y)
         assert got.dtype == np.longdouble  # tobytes would compare its padding bytes
-        assert np.array_equal(got, reference_mlp_grad(model, wide, X, y))
+        assert np.array_equal(got, reference_grad(model, wide, X, y))
 
 
 class TestCheckTheta:
