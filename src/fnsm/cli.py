@@ -152,6 +152,10 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"unknown algorithm {a!r}")
         if a in algos[:i]:
             raise ConfigError(f"--algos names {a!r} twice")
+    # a sweep that fails leaves no summary to read, not an earlier sweep's
+    path = os.path.join(spec.out_dir, "summary.csv")
+    if os.path.exists(path):
+        os.remove(path)
     table = []
     for algo, runs in zip(algos, _sweep(spec, algos)):
         row = [algo]
@@ -162,7 +166,6 @@ def cmd_compare(args) -> int:
             else:
                 row += ["", ""]
         table.append(row)
-    path = os.path.join(spec.out_dir, "summary.csv")
     with open(path, "w", newline="\n") as f:
         f.write(f"# fnsm {__version__} config=sha256:{spec.config_hash()}\n")
         columns = ["algo"] + [f"{m}_{stat}" for m in SUMMARY_METRICS for stat in ("mean", "std")]

@@ -359,6 +359,16 @@ class TestCmdRun:
         assert "non-finite train_loss at round 149" in capsys.readouterr().err
         assert sorted(f.name for f in out.iterdir()) == ["fedavg_seed1.ckpt", "fedavg_seed1.csv"]
 
+    def test_diverging_compare_leaves_no_earlier_summary(self, tmp_path, capsys):
+        p = write(tmp_path, "d.cfg", DIVERGING_CFG)
+        out = tmp_path / "out"
+        args = ["compare", "--config", p, "--algos", "fedavg", "--out", str(out)]
+        assert main(args + ["--set", "fed.lr=0.5"]) == 0
+        assert (out / "summary.csv").exists()
+        assert main(args) == 3
+        assert "non-finite train_loss at round 199" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_softmax_run_and_surface(self, tmp_path):
         from fnsm.federation import load_checkpoint
         from fnsm.metrics import population_loss

@@ -354,7 +354,8 @@ class TestEdges:
     def test_divergence_carries_context(self):
         client = quad_client(np.diag([4.0]), [0.0], cid=3)
         state = server(np.array([1.0]), lr=200.0, round_index=9)
-        with pytest.raises(DivergenceError) as err:
+        # a direct call overflows in Quadratic.grad, and warns, before it raises
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DivergenceError) as err:
             local_round(fed("fedavg", local_steps=500), state, client)
         assert err.value.round_index == 9
         assert err.value.client_id == 3

@@ -1,5 +1,7 @@
 """Objective correctness: hand values, finite-difference oracles, purity."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,19 @@ class TestSoftmaxLinear:
             th = rng.standard_normal(model.dim)
             X, y = random_batch(rng, model)
             assert model.loss(th, X, y) >= 0.0
+
+
+class TestLabelShape:
+    @pytest.mark.parametrize("method", ["loss", "grad"])
+    @pytest.mark.parametrize("shape", [(5, 1), (4,), (6,)], ids=["column", "shorter", "longer"])
+    @pytest.mark.parametrize("model", [SoftmaxLinear(3, 4), Mlp1(4, 5, 3)], ids=["softmax", "mlp"])
+    def test_rejects_labels_not_one_per_row(self, model, shape, method):
+        rng = rng_for(13, "labels")
+        X = rng.standard_normal((5, 4))
+        y = rng.integers(0, 3, shape)
+        want = re.escape(f"labels have shape {shape}, expected (5,) for features of shape (5, 4)")
+        with pytest.raises(ValueError, match=want):
+            getattr(model, method)(model.init_params(rng), X, y)
 
 
 class TestGradCheck:
@@ -208,6 +223,20 @@ class TestInit:
         s = model.blocks()
         assert np.abs(th[s[0]]).max() <= 1 / 4.0  # fan_in 16
         assert np.abs(th[s[2]]).max() <= 0.5  # fan_in 4
+
+    def test_softmax_init_within_fan_in_bound(self):
+        model = SoftmaxLinear(3, 16)
+        th = model.init_params(rng_for(8, "init"))
+        for s in model.blocks():
+            assert np.abs(th[s]).max() <= 1 / 4.0  # fan_in 16, weights and bias alike
+
+    @pytest.mark.parametrize("classes, dim", [(2, 1), (3, 4), (10, 20), (7, 33)])
+    def test_softmax_init_is_one_draw_over_the_fan_in(self, classes, dim):
+        model = SoftmaxLinear(classes, dim)
+        bound = 1.0 / np.sqrt(dim)
+        for seed in range(5):
+            want = np.random.default_rng(seed).uniform(-bound, bound, size=model.dim)
+            assert model.init_params(np.random.default_rng(seed)).tobytes() == want.tobytes()
 
     def test_init_deterministic(self):
         model = Mlp1(5, 4, 3)
