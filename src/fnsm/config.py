@@ -13,6 +13,7 @@ the hash and the command-line flags all read it.
 """
 
 import hashlib
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,7 +67,10 @@ class ExperimentSpec:
     checkpoint_every: int = 0
 
     def validate(self) -> None:
-        self.fed.validate()
+        try:
+            self.fed.validate()
+        except ValueError as exc:
+            raise ConfigError(_keyed(str(exc))) from exc
         if self.data_kind not in DATA_KINDS:
             raise ConfigError(f"data.kind must be one of {DATA_KINDS}")
         if self.model_kind not in MODEL_KINDS:
@@ -82,6 +86,12 @@ class ExperimentSpec:
                 raise ConfigError("data.test_fraction must lie in (0, 1)")
             if not self.alpha > 0:
                 raise ConfigError("data.alpha must be positive")
+            try:
+                DirichletSpec(self.alpha, self.fed.n_clients)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"data.alpha = {self.alpha!r}, fed.n_clients = {self.fed.n_clients}: {exc}"
+                ) from exc
             if self.hidden < 1:
                 raise ConfigError("model.hidden must be >= 1")
         elif self.quad_dim < 1:
@@ -149,6 +159,17 @@ _KEYS = {
     "metrics.rho": ("fed.metric_rho", True),
     "metrics.wall_time": ("fed.track_wall_time", True),
 }
+
+
+def _keyed(message: str) -> str:
+    """A ``FedConfig.validate`` message with each attribute named by its key.
+
+    Quoted text is a value, not an attribute, and stays as it is.
+    """
+    key_of = {
+        attr.removeprefix("fed."): key for key, (attr, _) in _KEYS.items() if attr.startswith("fed.")
+    }
+    return re.sub(r"'[^']*'|\"[^\"]*\"|\w+", lambda m: key_of.get(m[0], m[0]), message)
 
 
 def _get(spec: ExperimentSpec, attr: str):

@@ -7,6 +7,7 @@ alpha concentrates a class on few clients and large alpha approaches a
 uniform split.
 """
 
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -74,6 +75,9 @@ class DirichletSpec:
             raise ValueError("alpha must be positive")
         if self.n_clients < 1:
             raise ValueError("need at least one client")
+        # past this the draw's normaliser overflows and every proportion comes out 0
+        if self.n_clients > sys.float_info.max / float(self.alpha):
+            raise ValueError("alpha * n_clients must be finite")
 
 
 def synth_gaussian_mixture(

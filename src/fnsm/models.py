@@ -13,12 +13,11 @@ textbook forms.
 
 All training arithmetic is 64-bit: the diagnostic quantities measured
 downstream sit at the 1e-3 scale and need the headroom. ``loss`` also
-accepts an ``np.longdouble`` parameter vector, evaluates in that type and
-returns an ``np.longdouble`` scalar; ``grad_check`` uses this to form its
-central differences below the float64 rounding floor.
+accepts a complex parameter vector, evaluates in complex128 and returns a
+Python complex; every loss here is analytic in theta, so ``grad_check``
+reads its reference derivatives off the imaginary part of a complex step,
+which has no cancellation floor.
 """
-
-import warnings
 
 import numpy as np
 
@@ -32,8 +31,6 @@ __all__ = [
 ]
 
 
-# False where np.longdouble is plain float64 (MSVC, macOS arm64)
-_LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 _F64 = np.dtype(np.float64)
 
 
@@ -41,10 +38,9 @@ def _check_theta(theta: np.ndarray, dim: int) -> np.ndarray:
     # the training path passes float64 vectors; take them as they are
     if type(theta) is np.ndarray and theta.dtype == _F64 and theta.shape == (dim,):
         return theta
-    # a longdouble theta keeps its precision: grad_check relies on it
+    # a complex theta stays complex: grad_check's complex step relies on it
     theta = np.asarray(theta)
-    if theta.dtype != np.longdouble:
-        theta = np.asarray(theta, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.complex128 if theta.dtype.kind == "c" else np.float64)
     if theta.shape != (dim,):
         raise ValueError(f"parameter vector has shape {theta.shape}, expected ({dim},)")
     return theta
@@ -68,8 +64,8 @@ def _check_batch(X, y):
 
 
 def _scalar(value, theta: np.ndarray):
-    """A loss value as a Python float, or as np.longdouble for a longdouble theta."""
-    return value if theta.dtype == np.longdouble else float(value)
+    """A loss value as a Python float, or as a Python complex for a complex theta."""
+    return complex(value) if theta.dtype.kind == "c" else float(value)
 
 
 def _mean_xent(Z: np.ndarray, y: np.ndarray):
@@ -193,7 +189,7 @@ class _Dense:
         X, y = _check_batch(X, y)
         cache, Z = self._forward(theta, X)
         D = _dlogits(Z, y)
-        g = np.empty(self.dim, dtype=Z.dtype)  # float64, or longdouble for such a theta
+        g = np.empty(self.dim, dtype=Z.dtype)  # float64, or complex128 for such a theta
         for k in reversed(range(len(cache))):
             w, b, shape = self._layers[k]
             A, W = cache[k]
@@ -245,40 +241,30 @@ class Mlp1(_Dense):
 
 
 def grad_check(model, theta, X=None, y=None, h: float = 1e-5) -> float:
-    """Max relative error between the analytic gradient and central differences.
+    """Max relative error between the analytic gradient and complex-step derivatives.
 
     The denominator is max(|analytic coordinate|, 1e-8) so near-zero
     coordinates do not blow the ratio up. The analytic side is the float64
-    ``model.grad``. The difference side evaluates ``model.loss`` at an
-    ``np.longdouble`` theta +/- h e_j and forms the difference and the
-    quotient in ``np.longdouble``: with float64 losses the quotient has a
-    rounding floor of about ulp(L) / (2h), which alone exceeds tight bounds
-    on a quadratic. Where ``np.longdouble`` is no wider than float64 the
-    result carries that floor, and a ``RuntimeWarning`` says so and gives
-    its size at theta.
+    ``model.grad``. The reference side is Im L(theta + i h e_j) / h, with
+    ``model.loss`` evaluated at a complex theta: it subtracts nothing, so
+    unlike central differences it has no cancellation floor of about
+    ulp(L) / h, on any platform, and its error is the O(h^2) truncation
+    alone (Squire & Trapp 1998). It needs a loss analytic in theta, as the
+    models here are (tanh layers, a softmax cross-entropy head,
+    quadratics); a loss built on ``abs`` or a ReLU's max would not be.
     """
     if not h > 0:
         raise ValueError("step h must be positive")
     theta = np.asarray(theta, dtype=np.float64)
     analytic = model.grad(theta, X, y)
-    if not _LONGDOUBLE_IS_EXTENDED:
-        floor = np.spacing(abs(model.loss(theta, X, y))) / (2.0 * h)
-        warnings.warn(
-            "np.longdouble is no wider than float64 here: central differences "
-            f"carry the float64 rounding floor ulp(L)/(2h) = {floor:.1e} per coordinate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    base = theta.astype(np.longdouble)
-    step = np.longdouble(h)
+    probe = theta.astype(np.complex128)
     worst = 0.0
-    e = np.zeros_like(base)
     for j in range(theta.shape[0]):
-        e[j] = step
-        fd = (model.loss(base + e, X, y) - model.loss(base - e, X, y)) / (2 * step)
-        e[j] = 0
+        probe[j] += 1j * h
+        derivative = model.loss(probe, X, y).imag / h
+        probe[j] = theta[j]
         denom = max(abs(analytic[j]), 1e-8)
-        worst = max(worst, float(abs(analytic[j] - fd) / denom))
+        worst = max(worst, float(abs(analytic[j] - derivative) / denom))
     return worst
 
 

@@ -255,6 +255,20 @@ REJECTED = [
     (["run.seeds="], "run.seeds"),
     (["run.checkpoint_every=-1"], "run.checkpoint_every"),
     (["run.out="], "run.out"),
+    (["data.alpha=1e308"], "data.alpha"),
+    # FedConfig's checks, named by the key and not the attribute
+    (["fed.algorithm=fedprox"], "fed.algorithm"),
+    (["fed.participation=0"], "fed.participation"),
+    (["fed.n_clients=1"], "fed.n_clients"),
+    (["fed.rounds=0"], "fed.rounds"),
+    (["fed.local_steps=0"], "fed.local_steps"),
+    (["fed.batch_size=0"], "fed.batch_size"),
+    (["fed.lr=-1"], "fed.lr "),
+    (["fed.lr_decay=1.5"], "fed.lr_decay"),
+    (["fed.rho=-1"], "fed.rho"),
+    (["metrics.rho=0"], "metrics.rho"),
+    (["fed.momentum=1"], "fed.momentum"),
+    (["run.eval_every=0"], "run.eval_every"),
 ]
 
 

@@ -156,6 +156,14 @@ class TestDirichletPartition:
         assert len(np.unique(joined)) == ds.n
         assert any(len(idx) == 0 for idx in shards)
 
+    def test_alpha_is_bounded_by_the_draws_overflow(self):
+        # past alpha * n_clients = 1.8e308 the draw is all zeros: 200 of 2000 rows would remain
+        ds = synth_gaussian_mixture(10, 2, 2000, 1.0, seed=6)
+        shards = dirichlet_partition(ds, DirichletSpec(8.9e306, 20, seed=6))
+        assert np.array_equal(np.sort(np.concatenate(shards)), np.arange(ds.n))
+        with pytest.raises(ValueError, match="alpha"):
+            DirichletSpec(9.1e306, 20, seed=6)
+
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             DirichletSpec(0.0, 3, seed=0)

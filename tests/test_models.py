@@ -1,6 +1,7 @@
-"""Objective correctness: hand values, finite-difference oracles, purity."""
+"""Objective correctness: hand values, complex-step derivative oracles, purity."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -53,10 +54,12 @@ class TestQuadratic:
             theta = theta[::2] if layout == "strided theta" else theta[:d]
             theta *= 10.0 ** rng.uniform(-100, 100)
             assert q.grad(theta).tobytes() == (q.A @ (theta - q.c)).tobytes()
-        # a longdouble theta keeps its type and value (its padding bytes are undefined)
-        theta = rng.standard_normal(d).astype(np.longdouble) / 3
+        # a complex theta keeps its type, and its value to rounding: numpy sums a
+        # complex product over an F-ordered matrix in another order
+        theta = rng.standard_normal(d) + 1e-6j * rng.standard_normal(d)
         got, want = q.grad(theta), q.A @ (theta - q.c)
-        assert got.dtype == want.dtype == np.longdouble and np.array_equal(got, want)
+        assert got.dtype == want.dtype == np.complex128
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_batch_independent(self):
         rng = rng_for(0, "quadbatch")
@@ -145,11 +148,17 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(q, np.ones(1), h=float("nan"))
 
-    def test_warns_where_longdouble_is_float64(self, monkeypatch):
-        monkeypatch.setattr(models, "_LONGDOUBLE_IS_EXTENDED", False)
-        q = Quadratic(np.eye(2), np.zeros(2))
-        with pytest.warns(RuntimeWarning, match="float64 rounding floor"):
-            assert grad_check(q, np.ones(2), h=1e-6) < 1e-6
+    def test_quadratic_exact_to_rounding_without_warning(self):
+        # the complex step subtracts nothing, so it has no cancellation floor to warn
+        # about; what is left is the rounding of (A r)_j against a small coordinate
+        rng = rng_for(14, "gc")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                d = int(rng.integers(2, 6))
+                M = rng.standard_normal((d, d))
+                q = Quadratic(M @ M.T + d * np.eye(d), rng.standard_normal(d))
+                assert grad_check(q, rng.standard_normal(d), h=1e-6) <= 1e-13
 
 
 class TestLossPrecision:
@@ -165,11 +174,11 @@ class TestLossPrecision:
         model, X, y = problem
         assert type(model.loss(np.full(model.dim, 0.1), X, y)) is float
 
-    def test_longdouble_theta_gives_longdouble(self, problem):
+    def test_complex_theta_gives_complex(self, problem):
         model, X, y = problem
-        value = model.loss(np.full(model.dim, 0.1, dtype=np.longdouble), X, y)
-        assert type(value) is np.longdouble
-        assert value == pytest.approx(model.loss(np.full(model.dim, 0.1), X, y), rel=1e-14)
+        value = model.loss(np.full(model.dim, 0.1, dtype=np.complex128), X, y)
+        assert type(value) is complex and value.imag == 0.0
+        assert value.real == pytest.approx(model.loss(np.full(model.dim, 0.1), X, y), rel=1e-15)
 
 
 class TestPurity:
@@ -248,8 +257,7 @@ class TestInit:
 def reference_check_theta(theta, dim):
     """_check_theta without its shortcut for float64 vectors."""
     theta = np.asarray(theta)
-    if theta.dtype != np.longdouble:
-        theta = np.asarray(theta, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.complex128 if np.iscomplexobj(theta) else np.float64)
     if theta.shape != (dim,):
         raise ValueError(f"parameter vector has shape {theta.shape}, expected ({dim},)")
     return theta
@@ -295,7 +303,7 @@ def reference_loss(model, theta, X, y):
     y = np.asarray(y)
     _, logits = reference_forward(model, theta, X)
     value = -reference_log_softmax(logits)[np.arange(len(y)), y].mean()
-    return value if theta.dtype == np.longdouble else float(value)
+    return complex(value) if np.iscomplexobj(theta) else float(value)
 
 
 def reference_grad(model, theta, X, y):
@@ -341,10 +349,11 @@ class TestClassifierHead:
         assert type(loss) is float and np.float64(loss).tobytes() == np.float64(want).tobytes()
         assert model.grad(theta, X, y).tobytes() == reference_grad(model, theta, X, y).tobytes()
         assert model.predict(theta, X).tobytes() == reference_predict(model, theta, X).tobytes()
-        # a longdouble theta keeps its type and value (its padding bytes are undefined)
-        wide = theta.astype(np.longdouble)
-        loss, want = model.loss(wide, X, y), reference_loss(model, wide, X, y)
-        assert type(loss) is np.longdouble and loss == want
+        # a complex theta (grad_check's probe) keeps its type and value
+        probe = theta + 1e-6j * rng.standard_normal(model.dim)
+        loss, want = model.loss(probe, X, y), reference_loss(model, probe, X, y)
+        assert type(loss) is complex
+        assert np.complex128(loss).tobytes() == np.complex128(want).tobytes()
 
 
 class TestMlpGradKernel:
@@ -365,7 +374,7 @@ class TestMlpGradKernel:
         assert got.dtype == np.float64 and got.shape == (model.dim,)
         assert got.tobytes() == reference_grad(model, theta, X, y).tobytes()
 
-    def test_bit_identical_on_batch_views_lists_and_longdouble(self):
+    def test_bit_identical_on_batch_views_lists_and_complex(self):
         model = Mlp1(6, 9, 4)
         rng = rng_for(12, "kernel")
         theta = model.init_params(rng)
@@ -374,10 +383,10 @@ class TestMlpGradKernel:
         ref = reference_grad(model, theta, X[7:40], y[7:40]).tobytes()
         assert model.grad(theta, X[7:40], y[7:40]).tobytes() == ref
         assert model.grad(list(theta), X[7:40].tolist(), y[7:40].tolist()).tobytes() == ref
-        wide = theta.astype(np.longdouble)
-        got = model.grad(wide, X, y)
-        assert got.dtype == np.longdouble  # tobytes would compare its padding bytes
-        assert np.array_equal(got, reference_grad(model, wide, X, y))
+        probe = theta + 1e-6j * rng.standard_normal(model.dim)
+        got = model.grad(probe, X, y)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == reference_grad(model, probe, X, y).tobytes()
 
 
 class TestCheckTheta:
@@ -388,13 +397,15 @@ class TestCheckTheta:
         lambda: [0.5, 1, 2, 3, 4, 5],  # Python list
         lambda: np.arange(6),  # int array
         lambda: np.linspace(0, 1, 6, dtype=np.float32),
-        lambda: np.linspace(0, 1, 6).astype(np.longdouble),  # grad_check's theta
+        lambda: np.linspace(0, 1, 6) + 1e-6j,  # grad_check's probe
         lambda: np.linspace(0, 1, 6).astype(">f8"),  # non-native byte order
         lambda: np.linspace(0, 1, 6),
         lambda: np.zeros(5),  # wrong shapes
         lambda: np.zeros((6, 1)),
         lambda: np.float64(1.0),
         lambda: [[1.0] * 6],
+        lambda: np.linspace(0, 1, 6, dtype=np.complex64),  # widened to complex128
+        lambda: np.linspace(0, 1, 6).astype(np.longdouble),  # a plain float64 conversion
     ])
     def test_behaves_as_the_plain_conversion(self, make):
         theta = make()
