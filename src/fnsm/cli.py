@@ -10,6 +10,14 @@ file, override, flag or checkpoint file), a DatasetFormatError (dataset
 file), an OSError (a file that cannot be read or written) or a command
 line argparse rejects; 3 for a DivergenceError (training went
 non-finite). Any other exception is a bug and keeps its traceback.
+
+Outputs: every CSV opens with one provenance line, ``# fnsm <version>
+config=sha256:<hash>``, then its column names (``_write_csv``). Stale
+outputs are cleared through one helper (``_remove``): compare and surface
+delete ``summary.csv`` and ``surface.txt`` once their arguments are
+valid, so a failure leaves neither file from an earlier command, and a
+run that diverges removes its own CSV and checkpoint (the runs before it
+keep theirs).
 """
 
 import argparse
@@ -44,12 +52,23 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_records(path, records: list[RoundRecord], spec: ExperimentSpec) -> None:
+def _write_csv(path, spec: ExperimentSpec, rows) -> None:
+    """The provenance line, then each row of cells (the column names first)."""
     with open(path, "w", newline="\n") as f:
         f.write(f"# fnsm {__version__} config=sha256:{spec.config_hash()}\n")
-        f.write(CSV_COLUMNS + "\n")
-        for r in records:
-            f.write(",".join(_cell(getattr(r, name)) for name in _FIELDS) + "\n")
+        for row in rows:
+            f.write(",".join(row) + "\n")
+
+
+def _remove(*paths) -> None:
+    """Delete whichever of the paths exist (the output rule in the module docstring)."""
+    for path in paths:
+        if os.path.exists(path):
+            os.remove(path)
+
+
+def write_records(path, records: list[RoundRecord], spec: ExperimentSpec) -> None:
+    _write_csv(path, spec, [_FIELDS] + [[_cell(getattr(r, n)) for n in _FIELDS] for r in records])
 
 
 def read_records(path) -> list[RoundRecord]:
@@ -109,9 +128,7 @@ def _sweep(spec: ExperimentSpec, algorithms: list[str]) -> list[list[list[RoundR
             except DivergenceError:
                 # a diverged run leaves no file to read, resume from or slice,
                 # neither its own checkpoints nor an earlier run's files
-                for path in (stem + ".csv", stem + ".ckpt"):
-                    if os.path.exists(path):
-                        os.remove(path)
+                _remove(stem + ".csv", stem + ".ckpt")
                 raise
             write_records(stem + ".csv", records, run_spec)
             print(stem + ".csv")
@@ -152,10 +169,8 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"unknown algorithm {a!r}")
         if a in algos[:i]:
             raise ConfigError(f"--algos names {a!r} twice")
-    # a sweep that fails leaves no summary to read, not an earlier sweep's
     path = os.path.join(spec.out_dir, "summary.csv")
-    if os.path.exists(path):
-        os.remove(path)
+    _remove(path)
     table = []
     for algo, runs in zip(algos, _sweep(spec, algos)):
         row = [algo]
@@ -166,12 +181,8 @@ def cmd_compare(args) -> int:
             else:
                 row += ["", ""]
         table.append(row)
-    with open(path, "w", newline="\n") as f:
-        f.write(f"# fnsm {__version__} config=sha256:{spec.config_hash()}\n")
-        columns = ["algo"] + [f"{m}_{stat}" for m in SUMMARY_METRICS for stat in ("mean", "std")]
-        f.write(",".join(columns) + "\n")
-        for row in table:
-            f.write(",".join(row) + "\n")
+    columns = ["algo"] + [f"{m}_{stat}" for m in SUMMARY_METRICS for stat in ("mean", "std")]
+    _write_csv(path, spec, [columns] + table)
     print(path)
     return EXIT_OK
 
@@ -182,6 +193,8 @@ def cmd_surface(args) -> int:
         raise ConfigError("--res must be odd and >= 3")
     if not 0 < args.range < float("inf"):
         raise ConfigError("--range must be positive and finite")
+    path = os.path.join(spec.out_dir, "surface.txt")
+    _remove(path)
     seed = spec.seeds[0]
     run_spec = spec.for_run(spec.fed.algorithm, seed)
     clients, _, model = build_problem(run_spec)
@@ -201,7 +214,6 @@ def cmd_surface(args) -> int:
             f"--ckpt {args.ckpt} with --range {args.range!r}: the loss surface is non-finite"
         )
     os.makedirs(spec.out_dir, exist_ok=True)
-    path = os.path.join(spec.out_dir, "surface.txt")
     write_surface(grid, path)
     print(path)
     return EXIT_OK

@@ -84,8 +84,6 @@ class ExperimentSpec:
                 raise ConfigError("data.spread must be positive")
             if not 0.0 < self.test_fraction < 1.0:
                 raise ConfigError("data.test_fraction must lie in (0, 1)")
-            if not self.alpha > 0:
-                raise ConfigError("data.alpha must be positive")
             try:
                 DirichletSpec(self.alpha, self.fed.n_clients)
             except ValueError as exc:
@@ -264,11 +262,8 @@ def parse_config(path, overrides: list[str] | None = None) -> ExperimentSpec:
             raise ConfigError(f"override {ov!r}: expected key=value")
         key, raw = (part.strip() for part in ov.split("=", 1))
         _assign(spec_kw, fed_kw, key, raw, "override")
-    try:
-        spec = ExperimentSpec(fed=FedConfig(**fed_kw), **spec_kw)
-        spec.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = ExperimentSpec(fed=FedConfig(**fed_kw), **spec_kw)
+    spec.validate()
     return spec
 
 

@@ -23,6 +23,13 @@ displacement into an exponential moving average first and applies that:
 
 fedavg, fedsam and fedlesam use the plain branch; fedavgm, mofedsam and
 fednsam use the momentum branch.
+
+A checkpoint has one layout, v1, which ``save_checkpoint`` writes and
+``load_checkpoint`` reads: the little-endian header ``_HEADER`` (the
+magic ``FNSM``, u32 version 1, u32 round, u64 dim d, 20 bytes), then
+theta, momentum and last_delta as one (3, d) block of ``<f8``. v1 drops
+``ServerState.last_seen``; the v2 that stores it extends this header
+(ROADMAP must-fix 2).
 """
 
 import math
@@ -70,6 +77,7 @@ MOMENTUM_SERVER = frozenset(a for a, (_, server) in _ALGORITHM_PARTS.items() if 
 
 CHECKPOINT_MAGIC = b"FNSM"
 CHECKPOINT_VERSION = 1
+_HEADER = struct.Struct("<4sIIQ")  # magic, version, round, dim
 
 
 @dataclass(frozen=True)
@@ -354,15 +362,13 @@ def _fill_metrics(rec, cfg, clients, finals, state, prev_theta, prev_momentum, e
 
 
 def save_checkpoint(path, state: ServerState) -> None:
-    """Binary little-endian snapshot: magic, version, round, dim, 3 vectors."""
-    d = state.theta.shape[0]
+    """Write the state in the v1 layout (module docstring); last_seen is dropped."""
+    # raises ValueError, before any file is opened, for vectors of different lengths
+    block = np.stack([state.theta, state.momentum, state.last_delta], dtype="<f8")
+    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, state.round_index, block.shape[1])
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", state.round_index))
-        f.write(struct.pack("<Q", d))
-        for vec in (state.theta, state.momentum, state.last_delta):
-            f.write(np.ascontiguousarray(vec, dtype="<f8").tobytes())
+        f.write(header)
+        f.write(block.tobytes())
 
 
 def load_checkpoint(path, cfg: FedConfig) -> ServerState:
@@ -378,28 +384,26 @@ def load_checkpoint(path, cfg: FedConfig) -> ServerState:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    if len(blob) < 20:
-        raise ValueError(f"{path}: truncated checkpoint header ({len(blob)} of 20 bytes)")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    if len(blob) < _HEADER.size:
+        raise ValueError(
+            f"{path}: truncated checkpoint header ({len(blob)} of {_HEADER.size} bytes)"
+        )
+    _, version, round_index, d = _HEADER.unpack_from(blob)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (round_index,) = struct.unpack_from("<I", blob, 8)
     if round_index > cfg.rounds:  # before the lr replay below, which loops per round
         raise ValueError(f"{path}: round {round_index} is past fed.rounds = {cfg.rounds}")
-    (d,) = struct.unpack_from("<Q", blob, 12)
-    need = 20 + 3 * 8 * d
+    need = _HEADER.size + 3 * 8 * d
     if len(blob) != need:
         raise ValueError(f"{path}: truncated checkpoint ({len(blob)} of {need} bytes)")
-    vecs = [
-        np.frombuffer(blob, dtype="<f8", count=d, offset=20 + 8 * d * k).astype(np.float64)
-        for k in range(3)
-    ]
-    for name, vec in zip(("theta", "momentum", "last_delta"), vecs):
+    block = np.frombuffer(blob, dtype="<f8", count=3 * d, offset=_HEADER.size).reshape(3, d)
+    for name, vec in zip(("theta", "momentum", "last_delta"), block):
         if not np.isfinite(vec).all():
             raise ValueError(f"{path}: non-finite {name} in checkpoint")
+    theta, momentum, last_delta = (vec.astype(np.float64) for vec in block)
     lr = cfg.lr0
     for _ in range(round_index):
         lr *= cfg.lr_decay
     return ServerState(
-        theta=vecs[0], momentum=vecs[1], last_delta=vecs[2], round_index=round_index, lr=lr
+        theta=theta, momentum=momentum, last_delta=last_delta, round_index=round_index, lr=lr
     )

@@ -114,14 +114,13 @@ def loss_surface_slice(
     seed: int,
     span: float,
     res: int,
-    directions=None,
 ) -> SurfaceGrid:
     """Evaluate the population loss on a res x res grid around theta.
 
-    Two random directions are drawn from the seed, orthogonalized, and
-    filter-normalized per parameter block (``clients[0].model.blocks()``)
-    so slices of differently scaled models are comparable. ``directions`` overrides the random draw (the
-    override still goes through orthogonalization and normalization).
+    Two random directions u, v are drawn from the seed, v is orthogonalized
+    against u, and both are filter-normalized per parameter block
+    (``clients[0].model.blocks()``) so slices of differently scaled models
+    are comparable; a block where theta is (near-)zero is left unscaled.
     Resolution must be odd so the exact center is a grid point.
     """
     if res < 3 or res % 2 == 0:
@@ -131,12 +130,9 @@ def loss_surface_slice(
     theta = np.asarray(theta, dtype=np.float64)
     d = theta.shape[0]
     blocks = clients[0].model.blocks()
-    if directions is None:
-        rng = rng_for(seed, "surface")
-        u = rng.standard_normal(d)
-        v = rng.standard_normal(d)
-    else:
-        u, v = (np.asarray(w, dtype=np.float64).copy() for w in directions)
+    rng = rng_for(seed, "surface")
+    u = rng.standard_normal(d)
+    v = rng.standard_normal(d)
     # Gram-Schmidt, then per-block rescale
     u_norm = float(np.linalg.norm(u))
     if u_norm >= ZERO_NORM:

@@ -278,25 +278,22 @@ def _require_spd(A: np.ndarray) -> None:
 
 
 def quadratic_ensemble_minimizer(ensemble) -> np.ndarray:
-    """Closed-form minimizer of the average of quadratics.
+    """Closed-form minimizer of the average of a list of ``Quadratic`` objectives.
 
     For terms 0.5 (theta - c_i)^T A_i (theta - c_i) the unique minimizer is
-    (sum A_i)^-1 (sum A_i c_i). Accepts Quadratic instances or (A, c) pairs.
+    (sum A_i)^-1 (sum A_i c_i); each A_i is symmetric positive definite,
+    which ``Quadratic`` checks when it is built.
     """
-    pairs = [(q.A, q.c) if isinstance(q, Quadratic) else q for q in ensemble]
-    if not pairs:
+    if not ensemble:
         raise ValueError("empty ensemble")
-    dim = np.asarray(pairs[0][1]).shape[0]
+    dim = ensemble[0].dim
     A_sum = np.zeros((dim, dim))
     rhs = np.zeros(dim)
-    for A, c in pairs:
-        A = np.asarray(A, dtype=np.float64)
-        c = np.asarray(c, dtype=np.float64)
-        if A.shape != (dim, dim) or c.shape != (dim,):
+    for q in ensemble:
+        if q.dim != dim:
             raise ValueError("ensemble members disagree on dimension")
-        _require_spd(A)
-        A_sum += A
-        rhs += A @ c
+        A_sum += q.A
+        rhs += q.A @ q.c
     return np.linalg.solve(A_sum, rhs)
 
 

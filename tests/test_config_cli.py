@@ -600,6 +600,19 @@ class TestCmdSurface:
         assert f"--ckpt {ckpt}" in err and "--range" in err
         assert not (out / "surface.txt").exists()
 
+    @pytest.mark.parametrize("bad", ["ckpt", "range"])
+    def test_failure_removes_an_earlier_surface(self, tmp_path, capsys, bad):
+        cfg, ckpt, out = self.setup_ckpt(tmp_path)
+        args = ["surface", "--config", cfg, "--res", "5", "--out", str(out)]
+        assert main(args + ["--ckpt", ckpt, "--range", "0.5"]) == 0
+        assert (out / "surface.txt").exists()
+        if bad == "ckpt":
+            args += ["--ckpt", cfg, "--range", "0.5"]  # not a checkpoint file
+        else:
+            args += ["--ckpt", ckpt, "--range", "1e308"]  # a non-finite surface
+        assert main(args) == 2
+        assert not (out / "surface.txt").exists()
+
     @pytest.mark.parametrize("span", ["nan", "inf", "0"])
     def test_bad_range_exits_2(self, tmp_path, capsys, span):
         cfg, ckpt, out = self.setup_ckpt(tmp_path)

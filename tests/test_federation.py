@@ -457,6 +457,13 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             load_checkpoint(p, small_cfg())
 
+    def test_refuses_vectors_of_different_lengths_and_writes_nothing(self, tmp_path):
+        st = initial_state(small_cfg(), 3)
+        st.momentum = np.zeros(2)
+        p = tmp_path / "x.ckpt"
+        with pytest.raises(ValueError, match="same shape"):
+            save_checkpoint(p, st)
+        assert not p.exists()
 
     def test_rejects_a_round_past_fed_rounds_before_replaying_lr(self, tmp_path):
         cfg = small_cfg(rounds=5)

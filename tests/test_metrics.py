@@ -93,6 +93,27 @@ class TestGlobalSharpness:
         expect = population_loss(clients, probe) - population_loss(clients, theta)
         assert global_sharpness(clients, theta, 0.2) == expect
 
+    def test_heterogeneous_quadratics_match_the_closed_form(self):
+        # F(theta + rho g) - F(theta) = rho g.gradF + rho^2/2 g^T Abar g, with
+        # gradF = Abar theta - mean(A_i c_i) and g = gradF / |gradF|
+        rng = rng_for(8, "sharp-closed-form")
+        for _ in range(40):
+            n, dim = int(rng.integers(2, 7)), int(rng.integers(1, 9))
+            c_scale, t_scale = 10.0 ** rng.uniform(-1, 1, 2)
+            As = []
+            for _ in range(n):
+                M = rng.standard_normal((dim, dim))
+                As.append(M @ M.T + 0.5 * np.eye(dim))
+            cs = [c_scale * rng.standard_normal(dim) for _ in range(n)]
+            theta = t_scale * rng.standard_normal(dim)
+            rho = float(rng.uniform(0.01, 1.0))
+            A_bar = np.mean(As, axis=0)
+            grad_F = A_bar @ theta - np.mean([A @ c for A, c in zip(As, cs)], axis=0)
+            g = grad_F / np.linalg.norm(grad_F)
+            expect = rho * (g @ grad_F) + 0.5 * rho**2 * (g @ A_bar @ g)
+            got = global_sharpness(quad_clients(*zip(As, cs)), theta, rho)
+            assert got == pytest.approx(expect, rel=1e-10)
+
     def test_zero_at_stationary_point(self):
         clients = quad_clients((np.diag([2.0, 1.0]), np.array([0.3, -0.4])))
         assert global_sharpness(clients, np.array([0.3, -0.4]), 0.1) == 0.0
@@ -133,15 +154,21 @@ class TestExtrapolatedGradNorm:
 
 
 class TestLossSurface:
-    def test_forced_axis_directions_on_unit_quadratic(self):
+    def test_unit_quadratic_at_zero_matches_the_closed_form(self):
+        # at theta = 0 every block norm is zero, so u and v are the seeded draw
+        # (v orthogonalized against u), and each cell is 0.5 * |x u + y v|^2
         clients = quad_clients((np.eye(2), np.zeros(2)))
-        grid = loss_surface_slice(
-            clients, np.zeros(2), seed=0, span=1.0, res=3,
-            directions=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-        )
-        assert grid.values[1, 1] == 0.0
-        for corner in (grid.values[0, 0], grid.values[0, 2], grid.values[2, 0], grid.values[2, 2]):
-            assert corner == pytest.approx(1.0, abs=1e-12)
+        grid = loss_surface_slice(clients, np.zeros(2), seed=0, span=1.0, res=5)
+        rng = rng_for(0, "surface")
+        u, v = rng.standard_normal(2), rng.standard_normal(2)
+        assert np.array_equal(grid.u, u)
+        assert np.array_equal(grid.v, v - (v @ u) / (u @ u) * u)
+        coords = np.linspace(-1.0, 1.0, 5)
+        for a, x in enumerate(coords):
+            for b, y in enumerate(coords):
+                w = x * grid.u + y * grid.v
+                assert grid.values[a, b] == pytest.approx(0.5 * (w @ w), rel=1e-12, abs=1e-12)
+        assert grid.values[2, 2] == 0.0
 
     def test_center_cell_is_population_loss(self):
         ds = synth_gaussian_mixture(3, 4, 30, 0.7, seed=4)

@@ -193,18 +193,21 @@ class TestPurity:
 
 class TestEnsembleMinimizer:
     def test_equal_curvature_mean(self):
-        ens = [(np.eye(2), np.array([1.0, 0.0])), (np.eye(2), np.array([0.0, 1.0]))]
+        ens = [
+            Quadratic(np.eye(2), np.array([1.0, 0.0])),
+            Quadratic(np.eye(2), np.array([0.0, 1.0])),
+        ]
         assert np.allclose(quadratic_ensemble_minimizer(ens), [0.5, 0.5], atol=1e-14)
 
     def test_single_client_identity(self):
-        ens = [(np.eye(2), np.array([3.0, -2.0]))]
+        ens = [Quadratic(np.eye(2), np.array([3.0, -2.0]))]
         assert np.allclose(quadratic_ensemble_minimizer(ens), [3.0, -2.0], atol=1e-14)
 
     def test_weighted_two_by_two(self):
         # sum A = diag(3, 2), sum A c = (2, 1) -> (2/3, 1/2)
         ens = [
-            (np.diag([2.0, 1.0]), np.array([1.0, 1.0])),
-            (np.diag([1.0, 1.0]), np.array([0.0, 0.0])),
+            Quadratic(np.diag([2.0, 1.0]), np.array([1.0, 1.0])),
+            Quadratic(np.diag([1.0, 1.0]), np.array([0.0, 0.0])),
         ]
         assert np.allclose(quadratic_ensemble_minimizer(ens), [2.0 / 3.0, 0.5], atol=1e-14)
 
@@ -221,8 +224,16 @@ class TestEnsembleMinimizer:
             assert np.linalg.norm(g) < 1e-10
 
     def test_rejects_non_spd_member(self):
-        with pytest.raises(ValueError):
-            quadratic_ensemble_minimizer([(np.diag([1.0, 0.0]), np.zeros(2))])
+        # members are Quadratics, and a non-SPD one is refused when it is built
+        with pytest.raises(ValueError, match="positive definite"):
+            Quadratic(np.diag([1.0, 0.0]), np.zeros(2))
+
+    def test_rejects_mixed_dimensions_and_an_empty_list(self):
+        mixed = [Quadratic(np.eye(2), np.zeros(2)), Quadratic(np.eye(3), np.zeros(3))]
+        with pytest.raises(ValueError, match="disagree on dimension"):
+            quadratic_ensemble_minimizer(mixed)
+        with pytest.raises(ValueError, match="empty ensemble"):
+            quadratic_ensemble_minimizer([])
 
 
 class TestInit:
@@ -406,6 +417,9 @@ class TestCheckTheta:
         lambda: [[1.0] * 6],
         lambda: np.linspace(0, 1, 6, dtype=np.complex64),  # widened to complex128
         lambda: np.linspace(0, 1, 6).astype(np.longdouble),  # a plain float64 conversion
+    ], ids=[
+        "strided", "list", "int", "float32", "complex", "big_endian", "plain",
+        "short", "column", "scalar", "nested_list", "complex64", "longdouble",
     ])
     def test_behaves_as_the_plain_conversion(self, make):
         theta = make()
