@@ -24,7 +24,6 @@ from .federation import (
     FedConfig,
     RoundRecord,
     ServerState,
-    aggregate,
     clients_from_partition,
     load_checkpoint,
     quadratic_clients,
@@ -42,6 +41,7 @@ from .local import (
 )
 from .metrics import (
     SurfaceGrid,
+    aggregate,
     extrapolated_grad_norm,
     flatness_distance,
     global_sharpness,

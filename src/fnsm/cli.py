@@ -12,12 +12,13 @@ line argparse rejects; 3 for a DivergenceError (training went
 non-finite). Any other exception is a bug and keeps its traceback.
 
 Outputs: every CSV opens with one provenance line, ``# fnsm <version>
-config=sha256:<hash>``, then its column names (``_write_csv``). Stale
-outputs are cleared through one helper (``_remove``): compare and surface
-delete ``summary.csv`` and ``surface.txt`` once their arguments are
-valid, so a failure leaves neither file from an earlier command, and a
-run that diverges removes its own CSV and checkpoint (the runs before it
-keep theirs).
+config=sha256:<hash>``, then its column names (``_write_csv``). One rule
+holds for every output path: once a command's arguments are valid, and
+before any data is read, it deletes (``_remove``) every file it may write
+(``summary.csv``, ``surface.txt``, each run's ``<algo>_seed<k>.csv`` and
+``.ckpt``, the checkpoint even when none is written), so a failure leaves
+no file from an earlier command. A run that diverges also removes the
+checkpoints it wrote itself; the runs before it keep theirs.
 """
 
 import argparse
@@ -106,8 +107,12 @@ def read_records(path) -> list[RoundRecord]:
 
 def _sweep(spec: ExperimentSpec, algorithms: list[str]) -> list[list[list[RoundRecord]]]:
     """Run each (algorithm, seed) in order, writing and printing its CSV (and
-    its checkpoint); return the records by algorithm, then seed. A run that
-    diverges leaves neither file; the runs before it keep theirs."""
+    its checkpoint); return the records by algorithm, then seed. Every run's
+    files are cleared first; a run that diverges leaves neither file, and the
+    runs before it keep theirs."""
+    stems = {(a, s): os.path.join(spec.out_dir, f"{a}_seed{s}")
+             for a in algorithms for s in spec.seeds}
+    _remove(*(stem + ext for stem in stems.values() for ext in (".csv", ".ckpt")))
     os.makedirs(spec.out_dir, exist_ok=True)
     dataset = read_dataset(spec)
     by_algorithm = []
@@ -116,7 +121,7 @@ def _sweep(spec: ExperimentSpec, algorithms: list[str]) -> list[list[list[RoundR
         for seed in spec.seeds:
             run_spec = spec.for_run(algorithm, seed)
             clients, eval_data, _ = build_problem(run_spec, dataset)
-            stem = os.path.join(spec.out_dir, f"{algorithm}_seed{seed}")
+            stem = stems[algorithm, seed]
             try:
                 records, _ = run_experiment(
                     run_spec.fed,
@@ -126,9 +131,8 @@ def _sweep(spec: ExperimentSpec, algorithms: list[str]) -> list[list[list[RoundR
                     checkpoint_every=spec.checkpoint_every,
                 )
             except DivergenceError:
-                # a diverged run leaves no file to read, resume from or slice,
-                # neither its own checkpoints nor an earlier run's files
-                _remove(stem + ".csv", stem + ".ckpt")
+                # a diverged run leaves no checkpoint to resume from or slice
+                _remove(stem + ".ckpt")
                 raise
             write_records(stem + ".csv", records, run_spec)
             print(stem + ".csv")

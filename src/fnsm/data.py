@@ -98,9 +98,11 @@ def synth_gaussian_mixture(
     counts[: n % classes] += 1
     feats = []
     labs = []
-    for k in range(classes):
-        feats.append(means[k] + spread * rng.standard_normal((counts[k], dim)))
-        labs.append(np.full(counts[k], k, dtype=np.int64))
+    # a spread that overflows the features is reported by Dataset's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(classes):
+            feats.append(means[k] + spread * rng.standard_normal((counts[k], dim)))
+            labs.append(np.full(counts[k], k, dtype=np.int64))
     order = rng.permutation(n)
     return Dataset(
         features=np.concatenate(feats)[order],

@@ -8,11 +8,21 @@ mosam's blend target, the rule's settings). Per client, it calls
 its final model. The clients are independent pure computations, run one
 after another in ascending client-id order. The server then stacks the
 sampled clients' models into one (clients x dim) array, subtracts theta
-from it in one call and reduces it in one ordered call (``aggregate``):
-row by row in client order, from +0.0, as a sequential loop would, so
-every output is bit-identical for a given seed, signed zeros included.
-A round with full participation samples every client without drawing a
+from it in one call and reduces it in one ordered call
+(``metrics.aggregate``, the one mean over per-client vectors): row by
+row in client order, from +0.0, as a sequential loop would, so every
+output is bit-identical for a given seed, signed zeros included. A
+round with full participation samples every client without drawing a
 random stream.
+
+One overflow guard covers the whole round. The round's arithmetic (its
+shared constants, the local rounds, aggregation, the server update and
+the metrics) runs inside a single ``np.errstate(over="ignore",
+invalid="ignore")``, so a run that overflows anywhere in a round emits
+no warning; it stops with a DivergenceError instead, naming the client
+and step (``local_round``'s own check) or, from the checks after the
+guard, the global model or the metric. ``on_round`` and
+``save_checkpoint`` run outside the guard.
 
 Two server branches exist. Plain averaging adds the mean client
 displacement to the global model. The momentum branch folds the mean
@@ -41,7 +51,8 @@ import numpy as np
 
 from .data import Dataset
 from .local import ClientState, DivergenceError, all_finite, local_round, round_constants
-from .metrics import extrapolated_grad_norm, flatness_distance, global_sharpness, population_loss
+from .metrics import (aggregate, extrapolated_grad_norm, flatness_distance, global_sharpness,
+                      population_loss)
 from .models import accuracy
 from .rng import rng_for
 
@@ -52,7 +63,6 @@ __all__ = [
     "ServerState",
     "RoundRecord",
     "sample_clients",
-    "aggregate",
     "server_update",
     "run_experiment",
     "initial_state",
@@ -172,34 +182,6 @@ def sample_clients(n_clients: int, participation: int, round_index: int, seed: i
     return sorted(int(i) for i in picked)
 
 
-def aggregate(deltas) -> np.ndarray:
-    """Plain mean of client displacements, summed in client order.
-
-    ``deltas`` is a (clients x dim) array or a list of vectors, in
-    ascending client-id order. The sum runs row by row from +0.0, as
-    ``total = zeros; for d in deltas: total += d`` would, which pins the
-    reduction order for bit-reproducibility: numpy reduces axis 0 of a
-    C-contiguous 2-D array that way. A 1-D run, which a one-coordinate
-    model's (clients x 1) array becomes, numpy sums pairwise instead, so
-    that shape keeps the loop.
-    """
-    if len(deltas) == 0:
-        raise ValueError("no client results to aggregate")
-    try:
-        D = np.ascontiguousarray(deltas)
-    except ValueError:  # vectors of different lengths do not stack
-        raise ValueError("client deltas disagree on dimension") from None
-    if D.ndim != 2:
-        raise ValueError("client deltas disagree on dimension")
-    if D.shape[1] > 1:
-        total = np.add.reduce(D, axis=0, initial=0.0)
-    else:
-        total = np.zeros(1, dtype=D.dtype)
-        for d in D:
-            total += d
-    return total / len(D)
-
-
 def server_update(state: ServerState, mean_delta: np.ndarray, cfg: FedConfig) -> ServerState:
     """Apply one aggregated round to the server, advancing the schedule."""
     if mean_delta.shape != state.theta.shape:
@@ -300,23 +282,22 @@ def run_experiment(
         # so that the dispersion covers every client; it records nothing
         everyone = eval_round and cfg.full_flatness and cfg.track_flatness
         ids = range(cfg.n_clients) if everyone else sampled
-        constants = round_constants(cfg, state)  # the same for every client
-        # overflow is an anticipated failure mode, reported via DivergenceError
+        # overflow is an anticipated failure mode, which the checks below
+        # report as a DivergenceError (module docstring)
         with np.errstate(over="ignore", invalid="ignore"):
+            constants = round_constants(cfg, state)  # the same for every client
             finals = {i: local_round(cfg, state, clients[i], i in chosen, constants) for i in ids}
 
-        results = [finals[i] for i in sampled if finals[i] is not None]
-        if results:
-            mean_delta = aggregate(np.array(results) - state.theta)
-        else:
-            mean_delta = np.zeros_like(state.theta)
-        prev_theta, prev_momentum = state.theta, state.momentum
-        state = server_update(state, mean_delta, cfg)
+            results = [finals[i] for i in sampled if finals[i] is not None]
+            if results:
+                mean_delta = aggregate(np.array(results) - state.theta)
+            else:
+                mean_delta = np.zeros_like(state.theta)
+            prev_theta, prev_momentum = state.theta, state.momentum
+            state = server_update(state, mean_delta, cfg)
 
-        rec = RoundRecord(round=t)
-        if eval_round:
-            # a run mid-divergence can overflow here; the check below reports it
-            with np.errstate(over="ignore", invalid="ignore"):
+            rec = RoundRecord(round=t)
+            if eval_round:
                 _fill_metrics(rec, cfg, clients, finals, state, prev_theta, prev_momentum, eval_data)
         if cfg.track_wall_time:
             rec.wall_time_ms = (time.perf_counter() - started) * 1000.0

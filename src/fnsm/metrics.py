@@ -3,6 +3,11 @@
 The population objective is the unweighted mean of the clients' full-data
 losses. Clients are any objects exposing ``full_loss(theta)``,
 ``full_grad(theta)`` and ``evaluable``; empty shards are skipped.
+
+``aggregate`` is the one mean over per-client vectors: the server's mean
+displacement, the center of the flatness distance and the population
+gradient all sum their rows in client order from +0.0, so each is
+bit-identical to a sequential loop for any shape.
 """
 
 from dataclasses import dataclass
@@ -14,6 +19,7 @@ from .rng import rng_for
 
 __all__ = [
     "SurfaceGrid",
+    "aggregate",
     "flatness_distance",
     "global_sharpness",
     "extrapolated_grad_norm",
@@ -45,6 +51,35 @@ def flatness_distance(local_models: list[np.ndarray], global_model: np.ndarray) 
     return total / len(local_models)
 
 
+def aggregate(deltas) -> np.ndarray:
+    """Plain mean of per-client vectors, summed in client order.
+
+    ``deltas`` is a (clients x dim) array or a list of vectors (client
+    displacements, local models or gradients), in ascending client-id
+    order. The sum runs row by row from +0.0, as ``total = zeros; for d
+    in deltas: total += d`` would, which pins the reduction order for
+    bit-reproducibility: numpy reduces axis 0 of a C-contiguous 2-D array
+    that way. A 1-D run, which a one-coordinate model's (clients x 1)
+    array becomes, numpy sums pairwise instead, so that shape keeps the
+    loop.
+    """
+    if len(deltas) == 0:
+        raise ValueError("no client results to aggregate")
+    try:
+        D = np.ascontiguousarray(deltas)
+    except ValueError:  # vectors of different lengths do not stack
+        raise ValueError("client deltas disagree on dimension") from None
+    if D.ndim != 2:
+        raise ValueError("client deltas disagree on dimension")
+    if D.shape[1] > 1:
+        total = np.add.reduce(D, axis=0, initial=0.0)
+    else:
+        total = np.zeros(1, dtype=D.dtype)
+        for d in D:
+            total += d
+    return total / len(D)
+
+
 def population_loss(clients, theta: np.ndarray) -> float:
     vals = [c.full_loss(theta) for c in clients if c.evaluable]
     if not vals:
@@ -56,7 +91,7 @@ def population_grad(clients, theta: np.ndarray) -> np.ndarray:
     grads = [c.full_grad(theta) for c in clients if c.evaluable]
     if not grads:
         raise ValueError("no evaluable clients")
-    return np.mean(grads, axis=0)
+    return aggregate(grads)
 
 
 def global_sharpness(clients, theta: np.ndarray, rho: float) -> float:

@@ -418,13 +418,26 @@ class TestCmdRun:
                      "--out", str(tmp_path / "out")]) == 2
         assert "data.test_fraction" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("overrides", [
+        ["data.kind=csv", "data.csv_path={tmp}/missing.csv"],  # fails reading the dataset
+        ["data.n=3", "data.test_fraction=0.9"],  # fails building the problem
+    ], ids=["missing dataset", "empty training split"])
+    def test_failed_run_leaves_no_earlier_csv_or_checkpoint(self, tmp_path, capsys, overrides):
+        p = write(tmp_path, "m.cfg", MIX_CFG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", p, "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["fednsam_seed7.ckpt", "fednsam_seed7.csv"]
+        args = [a for kv in overrides for a in ("--set", kv.format(tmp=tmp_path))]
+        assert main(["run", "--config", p, *args, "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
     def test_spread_giving_non_finite_data_exits_2_naming_key(self, tmp_path, capsys, value):
         p = write(tmp_path, "m.cfg", MIX_CFG)
         assert main(["run", "--config", p, "--set", f"data.spread={value}",
                      "--out", str(tmp_path / "out")]) == 2
-        assert "data.spread" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data.spread" in err and "RuntimeWarning" not in err
 
     def test_float_keys_found(self):
         assert {"fed.lr", "data.alpha", "metrics.rho"} <= set(FLOAT_KEYS)

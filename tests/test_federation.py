@@ -2,6 +2,7 @@
 
 import struct
 import time
+import warnings
 from copy import deepcopy
 from dataclasses import fields, replace
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from fnsm import (
     ALGORITHMS,
     ClientState,
+    DivergenceError,
     FedConfig,
     Mlp1,
     Quadratic,
@@ -285,6 +287,21 @@ class TestRunExperiment:
         assert state.round_index == 4
         assert np.array_equal(state.theta, np.zeros(model.dim))
         assert len(recs) == 4
+
+    def test_overflowing_server_update_raises_without_a_warning(self):
+        # every client's one step stays finite (1e308 -> 0.99e308), but the
+        # momentum branch's theta + m = 1e308 + 0.84e308 overflows
+        ens = [Quadratic(np.eye(2), np.array([c, -c])) for c in (0.0, 1.0, 2.0)]
+        cfg = small_cfg(algorithm="fedavgm", n_clients=3, participation=3, rounds=2,
+                        local_steps=1, lr0=0.01, momentum=0.85, eval_every=1)
+        start = initial_state(cfg, 2)
+        start.theta, start.momentum = np.full(2, 1e308), np.full(2, 1e308)
+        with warnings.catch_warnings(), pytest.raises(DivergenceError) as err:
+            warnings.simplefilter("error")
+            run_experiment(cfg, quadratic_clients(ens), resume_from=start)
+        assert str(err.value) == (
+            "non-finite global model at round 0 (every client's local steps stayed finite)"
+        )
 
     def test_wall_time_off_by_default_and_on_when_asked(self):
         recs, _ = run(small_cfg(rounds=2, eval_every=1))

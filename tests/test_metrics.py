@@ -75,6 +75,22 @@ class TestFlatnessDistance:
             flatness_distance([], np.zeros(2))
 
 
+class TestPopulationGrad:
+    def test_one_coordinate_mean_is_the_ordered_sum(self):
+        # numpy sums a one-coordinate stack pairwise; the population gradient
+        # must sum in client order from +0.0, as the server's aggregate does
+        rng = rng_for(5, "pop-grad")
+        clients = quad_clients(
+            *[([[a]], [c]) for a, c in zip(rng.uniform(0.1, 10.0, 20), rng.standard_normal(20))]
+        )
+        for theta in rng.standard_normal((500, 1)) * 10.0 ** rng.uniform(-2, 2, (500, 1)):
+            want = np.zeros(1)
+            for c in clients:
+                want += c.full_grad(theta)
+            want /= len(clients)
+            assert population_grad(clients, theta).tobytes() == want.tobytes()
+
+
 class TestGlobalSharpness:
     def test_one_dimensional_closed_form(self):
         # F = theta^2/2 at theta=1, rho=0.1: 0.5*1.1^2 - 0.5 = 0.105
