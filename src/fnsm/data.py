@@ -85,10 +85,12 @@ def synth_gaussian_mixture(
 ) -> Dataset:
     """Isotropic Gaussian blobs, one per class, with balanced labels.
 
-    Class means are drawn once from the seed (standard normal), points as
-    mean + spread * noise. Class counts differ by at most one; row order
-    is a seeded shuffle, so the same call always returns bit-identical
-    arrays.
+    Class means are drawn once from the seed (standard normal). The labels
+    are one class-sorted vector whose class counts differ by at most one,
+    and one (n, dim) standard normal draw gives every point as
+    ``means[label] + spread * noise``; the generator fills that draw row by
+    row, so it holds the per-class draws back to back. Row order is a
+    seeded shuffle, so the same call always returns bit-identical arrays.
     """
     if classes < 2 or dim < 1 or n < classes or not spread > 0:
         raise ValueError("need classes >= 2, dim >= 1, n >= classes, spread > 0")
@@ -96,19 +98,12 @@ def synth_gaussian_mixture(
     means = rng.standard_normal((classes, dim))
     counts = np.full(classes, n // classes)
     counts[: n % classes] += 1
-    feats = []
-    labs = []
+    labels = np.repeat(np.arange(classes), counts)
     # a spread that overflows the features is reported by Dataset's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(classes):
-            feats.append(means[k] + spread * rng.standard_normal((counts[k], dim)))
-            labs.append(np.full(counts[k], k, dtype=np.int64))
+        features = means[labels] + spread * rng.standard_normal((n, dim))
     order = rng.permutation(n)
-    return Dataset(
-        features=np.concatenate(feats)[order],
-        labels=np.concatenate(labs)[order],
-        classes=classes,
-    )
+    return Dataset(features=features[order], labels=labels[order], classes=classes)
 
 
 def dirichlet_partition(ds: Dataset, spec: DirichletSpec) -> list[np.ndarray]:
@@ -120,25 +115,25 @@ def dirichlet_partition(ds: Dataset, spec: DirichletSpec) -> list[np.ndarray]:
     be empty: at small alpha, and always when ``n_clients`` exceeds
     ``ds.n``.
 
-    Returns one sorted index array per client.
+    Each class's shuffled sample indices are dealt out in client order by
+    those counts into one owner vector, the client id of every sample. One
+    stable argsort of it lists the samples client by client, each client's
+    in ascending order, and the per-client counts cut that list into the
+    shards.
+
+    Returns one ascending int64 index array per client.
     """
     rng = rng_for(spec.seed, "partition")
-    shards: list[list[np.ndarray]] = [[] for _ in range(spec.n_clients)]
+    owner = np.empty(ds.n, dtype=np.int64)
     for k in range(ds.classes):
         idx = np.flatnonzero(ds.labels == k)
         if idx.size == 0:
             continue
         idx = rng.permutation(idx)
         p = rng.dirichlet(np.full(spec.n_clients, spec.alpha))
-        counts = _largest_remainder(p, idx.size)
-        stop = np.cumsum(counts)
-        start = stop - counts
-        for i in range(spec.n_clients):
-            shards[i].append(idx[start[i] : stop[i]])
-    return [
-        np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-        for parts in shards
-    ]
+        owner[idx] = np.repeat(np.arange(spec.n_clients), _largest_remainder(p, idx.size))
+    cuts = np.cumsum(np.bincount(owner, minlength=spec.n_clients))[:-1]
+    return np.split(np.argsort(owner, kind="stable"), cuts)
 
 
 def _largest_remainder(p: np.ndarray, total: int) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Experiment-file parsing and the four CLI subcommands."""
 
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +24,7 @@ from fnsm.config import (
     parse_config,
 )
 from fnsm.data import Dataset, save_csv, synth_gaussian_mixture
-from fnsm.federation import ALGORITHMS, FedConfig
+from fnsm.federation import ALGORITHMS, MAX_CLIENTS, FedConfig
 from fnsm.metrics import read_surface
 
 QUAD_CFG = """\
@@ -684,6 +688,25 @@ class TestCmdPartition:
         assert rows == [
             [c.client_id, len(c.labels), *np.bincount(c.labels, minlength=3)] for c in clients
         ]
+
+    @pytest.mark.parametrize("n_clients", [MAX_CLIENTS + 1, 10**11], ids=["cap_plus_one", "1e11"])
+    def test_client_count_past_the_cap_exits_2_naming_key(self, tmp_path, n_clients):
+        # in a child process, so a check that is missing shows as a timeout, not a hung suite
+        p = write(tmp_path, "m.cfg", MIX_CFG)
+        src = str(pathlib.Path(fnsm.cli.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "fnsm.cli", "partition", "--config", p,
+             "--set", f"fed.n_clients={n_clients}"],
+            capture_output=True, text=True, timeout=2, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: fed.n_clients must be <= {MAX_CLIENTS}\n"
+
+    def test_the_cap_itself_is_legal(self):
+        FedConfig(n_clients=MAX_CLIENTS).validate()
+        with pytest.raises(ValueError, match="n_clients"):
+            FedConfig(n_clients=MAX_CLIENTS + 1).validate()
 
 
 class TestReadRecords:

@@ -50,6 +50,55 @@ SPECIAL_VALUES = Dataset(
 )
 
 
+@st.composite
+def partition_cases(draw):
+    """(classes, n, alpha, n_clients, seed), with n_clients running past n so shards go empty."""
+    classes = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 3000))
+    alpha = draw(st.sampled_from([0.01, 0.1, 1.0, 1e6]))
+    return classes, n, alpha, draw(st.integers(1, n + 5)), draw(st.integers(0, 2**32 - 1))
+
+
+def reference_mixture(classes, dim, n, spread, seed):
+    """The per-class loop synth_gaussian_mixture replaced: one draw and one label block per class."""
+    rng = rng_for(seed, "dataset")
+    means = rng.standard_normal((classes, dim))
+    counts = np.full(classes, n // classes)
+    counts[: n % classes] += 1
+    feats = []
+    labs = []
+    for k in range(classes):
+        feats.append(means[k] + spread * rng.standard_normal((counts[k], dim)))
+        labs.append(np.full(counts[k], k, dtype=np.int64))
+    order = rng.permutation(n)
+    return np.concatenate(feats)[order], np.concatenate(labs)[order]
+
+
+def reference_partition(ds, spec):
+    """The per-client loop dirichlet_partition replaced: slices appended per class, then sorted."""
+    rng = rng_for(spec.seed, "partition")
+    shards = [[] for _ in range(spec.n_clients)]
+    for k in range(ds.classes):
+        idx = np.flatnonzero(ds.labels == k)
+        if idx.size == 0:
+            continue
+        idx = rng.permutation(idx)
+        p = rng.dirichlet(np.full(spec.n_clients, spec.alpha))
+        raw = p * idx.size
+        counts = np.floor(raw).astype(np.int64)
+        short = idx.size - counts.sum()
+        if short > 0:
+            counts[np.argsort(-(raw - counts), kind="stable")[:short]] += 1
+        stop = np.cumsum(counts)
+        start = stop - counts
+        for i in range(spec.n_clients):
+            shards[i].append(idx[start[i] : stop[i]])
+    return [
+        np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+        for parts in shards
+    ]
+
+
 def max_class_share(ds, shards):
     """Mean over nonempty clients of their dominant within-client class share."""
     shares = []
@@ -87,6 +136,24 @@ class TestSynthMixture:
             th = th - 0.5 * model.grad(th, ds.features, ds.labels)
         assert np.mean(model.predict(th, ds.features) == ds.labels) == 1.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        classes=st.integers(2, 12),
+        dim=st.integers(1, 29),
+        extra=st.integers(0, 3000),
+        spread=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(classes=12, dim=29, extra=2988, spread=1.0, seed=0)
+    def test_matches_the_per_class_loop_byte_for_byte(self, classes, dim, extra, spread, seed):
+        n = min(classes + extra, 3000)
+        ds = synth_gaussian_mixture(classes, dim, n, spread, seed)
+        features, labels = reference_mixture(classes, dim, n, spread, seed)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tobytes() == labels.tobytes()
+        assert ds.classes == classes
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             synth_gaussian_mixture(1, 2, 10, 0.1, 0)
@@ -114,6 +181,25 @@ class TestDirichletPartition:
             joined = np.concatenate(shards)
             assert len(joined) == ds.n
             assert len(np.unique(joined)) == ds.n
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=partition_cases())
+    @example(case=(2, 1, 1.0, 6, 0))
+    @example(case=(12, 3000, 0.01, 3005, 1))
+    def test_matches_the_per_client_loop_byte_for_byte(self, case):
+        classes, n, alpha, n_clients, seed = case
+        # random labels leave some classes empty at small n
+        labels = rng_for(seed, "labels").integers(0, classes, n)
+        labels[0] = classes - 1
+        ds = Dataset(np.zeros((n, 1)), labels, classes)
+        spec = DirichletSpec(alpha, n_clients, seed)
+        shards = dirichlet_partition(ds, spec)
+        expected = reference_partition(ds, spec)
+        assert len(shards) == n_clients
+        for got, want in zip(shards, expected):
+            assert got.dtype == np.int64
+            assert np.all(np.diff(got) > 0)
+            assert got.tobytes() == want.tobytes()
 
     def test_deterministic_in_seed(self):
         ds = synth_gaussian_mixture(4, 2, 100, 1.0, seed=3)

@@ -333,6 +333,47 @@ class TestRunExperiment:
                 small_cfg(**{field: value}).validate()
 
 
+def rotated_spd(rng, d):
+    """Q diag(U(0.2, 2)) Q^T for a random rotation Q: SPD and not diagonal."""
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (Q * rng.uniform(0.2, 2.0, d)) @ Q.T
+
+
+class TestRoundMap:
+    """Under the sgd rule, K local steps on a quadratic are affine: a client
+    returns M_i (theta - c_i) + c_i with M_i = (I - lr A_i)^K. So fedavg and
+    fedavgm have an exact round map, partial participation and lr decay
+    included."""
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedavgm"])
+    def test_run_follows_the_closed_form_round_map(self, algorithm):
+        n, d, K = 8, 4, 5
+        for seed in range(1, 6):
+            rng = rng_for(seed, "round-map")
+            ens = [Quadratic(rotated_spd(rng, d), rng.standard_normal(d)) for _ in range(n)]
+            cfg = FedConfig(
+                algorithm=algorithm, n_clients=n, participation=3, rounds=200, local_steps=K,
+                lr0=0.1, lr_decay=0.99, momentum=0.85, seed=seed, eval_every=200,
+                track_flatness=False, track_sharpness=False, track_grad_norm=False,
+            )
+            _, state = run_experiment(cfg, quadratic_clients(ens))
+
+            theta = ens[0].init_params(rng_for(seed, "init"))
+            m = np.zeros(d)
+            lr = cfg.lr0
+            for t in range(cfg.rounds):
+                finals = [
+                    np.linalg.matrix_power(np.eye(d) - lr * q.A, K) @ (theta - q.c) + q.c
+                    for q in (ens[i] for i in sample_clients(n, 3, t, seed))
+                ]
+                delta = np.mean(finals, axis=0) - theta
+                m = cfg.momentum * m + delta if algorithm == "fedavgm" else m
+                theta = theta + (m if algorithm == "fedavgm" else delta)
+                lr *= cfg.lr_decay
+            err = np.linalg.norm(state.theta - theta) / np.linalg.norm(theta)
+            assert err <= 1e-12, (seed, err)
+
+
 def busy_cfg(algorithm):
     """A run where every rule's knobs are on and every client runs at eval rounds."""
     return small_cfg(algorithm=algorithm, rho=0.1, momentum=0.85, rounds=10, eval_every=2,

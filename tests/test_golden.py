@@ -8,13 +8,16 @@ and a loss-surface slice.
 A change that claims to keep outputs bit-identical passes this test
 unchanged. A change that moves the reference on purpose updates
 ``GOLDEN`` in the same diff and says how large the move is. Float
-results depend on the platform and the BLAS build, so the digests name
-the setup they were pinned on, and a mismatch reports both setups.
+results depend on the platform, the BLAS build and the BLAS kernel that
+build picks at load time, so the digests name the setup they were
+pinned on, and a mismatch reports both setups.
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current
 digests and setup in ``GOLDEN``'s layout.
 """
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import os
@@ -79,6 +82,7 @@ PINNED_ON = {
     "platform": "Linux x86_64, Python 3.11.7",
     "numpy": "2.4.6",
     "blas": "scipy-openblas 0.3.31.188.0",
+    "kernel": "SkylakeX",
 }
 
 GOLDEN = {
@@ -126,6 +130,23 @@ GOLDEN = {
 }
 
 
+def blas_kernel() -> str:
+    """The kernel numpy's OpenBLAS picked when it was loaded, or "unknown".
+
+    A DYNAMIC_ARCH build picks one per CPU (``OPENBLAS_CORETYPE``
+    overrides it), and kernels differ in the last bits of a float result.
+    Opening the Linux wheel's bundled library again returns the loaded one.
+    """
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*"):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def current_setup() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -136,6 +157,7 @@ def current_setup() -> dict:
         "platform": f"{platform.system()} {platform.machine()}, Python {platform.python_version()}",
         "numpy": np.__version__,
         "blas": blas,
+        "kernel": blas_kernel(),
     }
 
 

@@ -116,6 +116,35 @@ class TestLabelShape:
             getattr(model, method)(model.init_params(rng), X, y)
 
 
+class TestLabelValues:
+    @pytest.mark.parametrize("method", ["loss", "grad"])
+    @pytest.mark.parametrize(
+        "y, want",
+        [
+            ([0, -1], "label -1 is outside [0, 3)"),
+            ([0, 3], "label 3 is outside [0, 3)"),
+            (np.array([2, 200], dtype=np.uint8), "label 200 is outside [0, 3)"),
+            ([0.0, 1.0], "label 0.0 is not an integer class index (float64 labels)"),
+            ([True, False], "label True is not an integer class index (bool labels)"),
+        ],
+        ids=["negative", "past_last_class", "unsigned_past_last_class", "float", "bool"],
+    )
+    @pytest.mark.parametrize("model", [SoftmaxLinear(3, 3), Mlp1(3, 4, 3)], ids=["softmax", "mlp"])
+    def test_bad_label_raises_naming_it(self, model, y, want, method):
+        theta = model.init_params(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=re.escape(want)):
+            getattr(model, method)(theta, np.ones((2, 3)), y)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+    def test_every_integer_dtype_gives_the_int64_result(self, dtype):
+        rng = rng_for(2, "labels")
+        model = Mlp1(3, 4, 3)
+        theta = model.init_params(rng)
+        X, y = random_batch(rng, model)
+        assert model.loss(theta, X, y.astype(dtype)) == model.loss(theta, X, y)
+        assert model.grad(theta, X, y.astype(dtype)).tobytes() == model.grad(theta, X, y).tobytes()
+
+
 class TestGradCheck:
     def test_quadratic_tight(self):
         rng = rng_for(3, "gc")
