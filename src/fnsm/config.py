@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import (
+    MAX_CELLS,
+    MAX_CLASSES,
     Dataset,
     DirichletSpec,
     dirichlet_partition,
@@ -40,6 +42,19 @@ __all__ = [
 
 MODEL_KINDS = ("mlp", "softmax", "quadratic")
 DATA_KINDS = ("synthetic", "csv")
+
+# The most weights a classifier may have: hidden * (dim + classes) for the
+# mlp, classes * dim for softmax. A run holds a few vectors of this length
+# per client it trains and a batch of activations per hidden unit. On a
+# 2-vCPU x86-64 host with one BLAS thread, a one-round ``fnsm run`` of an
+# mlp at this size takes 0.9 s and 255 MB; at ten times it, 12 s and 1.9 GB.
+MAX_WEIGHTS = 10**6
+# The most curvature-matrix cells a quadratic ensemble may have,
+# n_clients * quad_dim**2: 80 MB of float64, each matrix checked by a
+# Cholesky factorisation. A one-round ``fnsm run`` of one client at
+# quad_dim 3162 takes 1.0 s and 283 MB, and of MAX_CLIENTS clients at
+# quad_dim 10 it takes 5.5 s and 205 MB.
+MAX_QUAD_CELLS = 10**7
 
 
 class ConfigError(ValueError):
@@ -80,6 +95,12 @@ class ExperimentSpec:
         if self.model_kind != "quadratic":
             if self.classes < 2 or self.dim < 1 or self.n_samples < self.classes:
                 raise ConfigError("need data.classes >= 2, data.dim >= 1, data.n >= classes")
+            if self.classes > MAX_CLASSES:
+                raise ConfigError(f"data.classes must be <= {MAX_CLASSES}")
+            if self.n_samples * self.dim > MAX_CELLS:
+                raise ConfigError(
+                    f"data.n * data.dim = {self.n_samples} * {self.dim} must be <= {MAX_CELLS}"
+                )
             if not self.spread > 0:
                 raise ConfigError("data.spread must be positive")
             if not 0.0 < self.test_fraction < 1.0:
@@ -92,14 +113,33 @@ class ExperimentSpec:
                 ) from exc
             if self.hidden < 1:
                 raise ConfigError("model.hidden must be >= 1")
+            if self.data_kind == "synthetic":  # a CSV's sizes are checked once it is read
+                self._check_weights(self.dim, self.classes)
         elif self.quad_dim < 1:
             raise ConfigError("model.quad_dim must be >= 1")
+        elif self.fed.n_clients * self.quad_dim**2 > MAX_QUAD_CELLS:
+            raise ConfigError(
+                f"fed.n_clients * model.quad_dim**2 = {self.fed.n_clients} * {self.quad_dim}**2 "
+                f"must be <= {MAX_QUAD_CELLS}"
+            )
         if not self.seeds:
             raise ConfigError("run.seeds must list at least one seed")
         if not self.out_dir:
             raise ConfigError("run.out must name a directory")
         if self.checkpoint_every < 0:
             raise ConfigError("run.checkpoint_every must be >= 0")
+
+    def _check_weights(self, dim: int, classes: int) -> None:
+        """Raise ConfigError when the classifier for this data would pass MAX_WEIGHTS."""
+        if self.model_kind == "mlp":
+            weights, sizes = self.hidden * (dim + classes), f"model.hidden = {self.hidden}, "
+        else:
+            weights, sizes = classes * dim, ""
+        if weights > MAX_WEIGHTS:
+            raise ConfigError(
+                f"the {self.model_kind} model would have {weights} weights ({sizes}{dim} "
+                f"features, {classes} classes); at most {MAX_WEIGHTS}"
+            )
 
     def resolved_lines(self) -> list[str]:
         """Canonical `key = value` dump of every hashed setting, sorted by key."""
@@ -271,11 +311,15 @@ def read_dataset(spec: ExperimentSpec) -> Dataset | None:
     """The dataset file a CSV-backed spec names, read once for all its runs.
 
     Returns None when there is no file to share: the data is generated
-    per seed, or the model is a quadratic that needs no data.
+    per seed, or the model is a quadratic that needs no data. Raises
+    ConfigError when the file's features and classes would give the
+    model more than MAX_WEIGHTS weights.
     """
     if spec.model_kind == "quadratic" or spec.data_kind != "csv":
         return None
-    return load_csv(spec.csv_path)
+    ds = load_csv(spec.csv_path)
+    spec._check_weights(ds.dim, ds.classes)
+    return ds
 
 
 def build_problem(run_spec: ExperimentSpec, dataset: Dataset | None = None):

@@ -27,6 +27,20 @@ __all__ = [
 ]
 
 
+# The most classes a dataset may have: the model has an output per class,
+# and the partition draws a Dirichlet vector over the clients per class.
+# Far above the 10-1000 classes of label-skew benchmarks. On a 2-vCPU
+# x86-64 host with one BLAS thread, a 10 000-row mixture with a row per
+# class takes 0.6 s and 39 MB to ``fnsm partition`` and 3.6 s and 197 MB
+# for a one-round ``fnsm run`` that evaluates every metric.
+MAX_CLASSES = 10_000
+# The most feature cells, data.n * data.dim, a generated dataset may have:
+# 80 MB of float64 features. ``fnsm partition`` of 2 500 000 rows of 4
+# takes 1.4 s and 320 MB, and of 1 000 000 rows of 10 in 10 000 classes
+# 1.3 s and 289 MB.
+MAX_CELLS = 10**7
+
+
 class DatasetFormatError(ValueError):
     """Raised when a dataset file cannot be parsed; message names the line."""
 
@@ -41,7 +55,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = np.asarray(self.labels)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, dim) matrix")
         if self.labels.shape != (self.features.shape[0],):
@@ -50,8 +64,7 @@ class Dataset:
             raise ValueError("features contain non-finite values")
         if self.classes < 2:
             raise ValueError("need at least 2 classes")
-        if self.labels.min() < 0 or self.labels.max() >= self.classes:
-            raise ValueError("labels out of range")
+        self.labels = check_labels(self.labels, self.classes).astype(np.int64, copy=False)
 
     @property
     def n(self) -> int:
@@ -60,6 +73,20 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+
+def check_labels(y: np.ndarray, classes: int) -> np.ndarray:
+    """y, a nonempty label vector, when it holds integer class indices in [0, classes).
+
+    Otherwise raises ValueError naming the first bad label. The dtype
+    decides integrality: a float or bool vector is refused whatever its
+    values, so 1.0 or True never passes as a class index.
+    """
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"label {y[0]} is not an integer class index ({y.dtype} labels)")
+    if np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes:
+        raise ValueError(f"label {y[(y < 0) | (y >= classes)][0]} is outside [0, {classes})")
+    return y
 
 
 @dataclass(frozen=True)
@@ -125,8 +152,9 @@ def dirichlet_partition(ds: Dataset, spec: DirichletSpec) -> list[np.ndarray]:
     """
     rng = rng_for(spec.seed, "partition")
     owner = np.empty(ds.n, dtype=np.int64)
-    for k in range(ds.classes):
-        idx = np.flatnonzero(ds.labels == k)
+    # each class's sample indices in ascending order, cut from one stable sort
+    by_class = np.argsort(ds.labels, kind="stable")
+    for idx in np.split(by_class, np.cumsum(np.bincount(ds.labels, minlength=ds.classes))[:-1]):
         if idx.size == 0:
             continue
         idx = rng.permutation(idx)
@@ -179,7 +207,8 @@ def load_csv(path) -> Dataset:
     """Parse a dataset file written in the save_csv format.
 
     Classes are inferred as 1 + max label. Every malformed input (missing
-    file, ragged row, non-numeric or non-finite cell, bad label) raises
+    file, ragged row, non-numeric or non-finite cell, a label that is not
+    an integer in [0, MAX_CLASSES)) raises
     DatasetFormatError naming the offending line; a file whose labels
     are all 0 raises it naming the file. Lines may end in LF or
     CRLF, and the last one needs no line break.
@@ -218,10 +247,12 @@ def load_csv(path) -> Dataset:
                     raise DatasetFormatError(f"{path}:{lineno}: label is not an integer") from None
                 if lab < 0:
                     raise DatasetFormatError(f"{path}:{lineno}: negative label")
-                try:
-                    labels.append(lab)
-                except OverflowError:
-                    raise DatasetFormatError(f"{path}:{lineno}: label out of range") from None
+                if lab >= MAX_CLASSES:
+                    raise DatasetFormatError(
+                        f"{path}:{lineno}: label out of range: {lab} is past the cap of "
+                        f"{MAX_CLASSES} classes"
+                    )
+                labels.append(lab)
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read file ({exc})") from exc
     if width is None:

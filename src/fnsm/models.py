@@ -21,6 +21,8 @@ which has no cancellation floor.
 
 import numpy as np
 
+from .data import check_labels
+
 __all__ = [
     "Quadratic",
     "SoftmaxLinear",
@@ -47,13 +49,8 @@ def _check_theta(theta: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _check_batch(X, y, classes: int):
-    """The batch as float64 features and integer labels of shape (len(X),).
-
-    A label that is not an integer, or is negative, raises ValueError here
-    (about 1.5 us a call, 2-4 % of a batch-32 ``Mlp1.grad``); a label past
-    the last class raises it where the logits are indexed, which costs
-    nothing until it happens.
-    """
+    """The batch as float64 features and their labels, one integer class
+    index in [0, classes) per row (``data.check_labels``)."""
     if X is None or len(X) == 0:
         raise ValueError("empty batch")
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
@@ -61,16 +58,7 @@ def _check_batch(X, y, classes: int):
         raise ValueError(
             f"labels have shape {y.shape}, expected ({len(X)},) for features of shape {X.shape}"
         )
-    if y.dtype.kind not in "iu":
-        raise ValueError(f"label {y[0]} is not an integer class index ({y.dtype} labels)")
-    if y.min() < 0:
-        raise _bad_label(y, classes)
-    return X, y
-
-
-def _bad_label(y: np.ndarray, classes: int) -> ValueError:
-    """The error naming the first label outside [0, classes)."""
-    return ValueError(f"label {y[(y < 0) | (y >= classes)][0]} is outside [0, {classes})")
+    return X, check_labels(y, classes)
 
 
 def _scalar(value, theta: np.ndarray):
@@ -83,10 +71,7 @@ def _mean_xent(Z: np.ndarray, y: np.ndarray):
     ``-log_softmax(Z)[arange(n), y].mean()``, whose mean also sums a fresh
     contiguous vector (numpy sums a strided axis in another order)."""
     Z -= np.maximum.reduce(Z, axis=1, keepdims=True)  # keeps exp() in range
-    try:
-        picked = Z[np.arange(len(y)), y]
-    except IndexError:
-        raise _bad_label(y, Z.shape[1]) from None
+    picked = Z[np.arange(len(y)), y]
     np.exp(Z, out=Z)
     picked -= np.log(np.add.reduce(Z, axis=1))
     return -picked.mean()
@@ -97,10 +82,7 @@ def _dlogits(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
     Z -= np.maximum.reduce(Z, axis=1, keepdims=True)
     np.exp(Z, out=Z)
     Z /= np.add.reduce(Z, axis=1, keepdims=True)
-    try:
-        Z[np.arange(len(y)), y] -= 1.0
-    except IndexError:
-        raise _bad_label(y, Z.shape[1]) from None
+    Z[np.arange(len(y)), y] -= 1.0
     Z /= len(y)
     return Z
 
@@ -314,5 +296,10 @@ def quadratic_ensemble_minimizer(ensemble) -> np.ndarray:
 
 
 def accuracy(model, theta, X, y) -> float:
-    """Fraction of samples whose argmax prediction matches the label."""
-    return float(np.mean(model.predict(theta, X) == np.asarray(y)))
+    """Fraction of samples whose argmax prediction matches the label.
+
+    The labels are checked as ``loss`` and ``grad`` check them: one integer
+    class index in [0, model.classes) per row of X.
+    """
+    X, y = _check_batch(X, y, model.classes)
+    return float(np.mean(model.predict(theta, X) == y))

@@ -1,5 +1,6 @@
 """Experiment-file parsing and the four CLI subcommands."""
 
+import math
 import os
 import pathlib
 import struct
@@ -14,16 +15,18 @@ from hypothesis import strategies as st
 
 import fnsm.cli
 import fnsm.config
-from fnsm.cli import main, read_records
+from fnsm.cli import MAX_RES, main, read_records
 from fnsm.config import (
     DATA_KINDS,
+    MAX_QUAD_CELLS,
+    MAX_WEIGHTS,
     MODEL_KINDS,
     ConfigError,
     ExperimentSpec,
     build_problem,
     parse_config,
 )
-from fnsm.data import Dataset, save_csv, synth_gaussian_mixture
+from fnsm.data import MAX_CELLS, MAX_CLASSES, Dataset, save_csv, synth_gaussian_mixture
 from fnsm.federation import ALGORITHMS, MAX_CLIENTS, FedConfig
 from fnsm.metrics import read_surface
 
@@ -117,12 +120,13 @@ def specs(draw):
     # no comment sign and nothing str.splitlines breaks a line at
     path = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Zl", "Zp"),
                                  exclude_characters="#"), min_size=1)
+    dim = draw(st.integers(1, 1000))
     return ExperimentSpec(
         fed=fed,
         data_kind=data_kind,
         classes=classes,
-        dim=draw(st.integers(1, 1000)),
-        n_samples=draw(st.integers(classes, 10**6)),
+        dim=dim,
+        n_samples=draw(st.integers(classes, min(10**6, MAX_CELLS // dim))),
         spread=draw(finite(0.0, exclude_min=True)),
         csv_path=draw(path.map(str.strip).filter(bool)) if data_kind == "csv" else "",
         alpha=draw(finite(0.0, exclude_min=True)),
@@ -146,6 +150,16 @@ def csv_config(tmp_path, ds=None):
     save_csv(synth_gaussian_mixture(3, 4, 120, 0.7, seed=7) if ds is None else ds, data)
     text = MIX_CFG.replace("data.kind = synthetic", f"data.kind = csv\ndata.csv_path = {data}")
     return write(tmp_path, "csv.cfg", text)
+
+
+def run_child(*argv):
+    """``python -m fnsm.cli *argv`` in a child process that must finish within 2 s,
+    so a size that is not checked shows as a timeout, not as a hung suite."""
+    src = str(pathlib.Path(fnsm.cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "fnsm.cli", *argv],
+        capture_output=True, text=True, timeout=2, env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 class TestParsing:
@@ -691,14 +705,8 @@ class TestCmdPartition:
 
     @pytest.mark.parametrize("n_clients", [MAX_CLIENTS + 1, 10**11], ids=["cap_plus_one", "1e11"])
     def test_client_count_past_the_cap_exits_2_naming_key(self, tmp_path, n_clients):
-        # in a child process, so a check that is missing shows as a timeout, not a hung suite
         p = write(tmp_path, "m.cfg", MIX_CFG)
-        src = str(pathlib.Path(fnsm.cli.__file__).parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "fnsm.cli", "partition", "--config", p,
-             "--set", f"fed.n_clients={n_clients}"],
-            capture_output=True, text=True, timeout=2, env={**os.environ, "PYTHONPATH": src},
-        )
+        done = run_child("partition", "--config", p, "--set", f"fed.n_clients={n_clients}")
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == f"error: fed.n_clients must be <= {MAX_CLIENTS}\n"
@@ -707,6 +715,82 @@ class TestCmdPartition:
         FedConfig(n_clients=MAX_CLIENTS).validate()
         with pytest.raises(ValueError, match="n_clients"):
             FedConfig(n_clients=MAX_CLIENTS + 1).validate()
+
+
+# (config, command line after --config, what the error must name); MIX_CFG has
+# data.n = 120, data.dim = 4, data.classes = 3, and QUAD_CFG fed.n_clients = 6
+PAST_A_CAP = {
+    "classes": (MIX_CFG, ["partition", "--set", f"data.classes={MAX_CLASSES + 1}",
+                          "--set", f"data.n={MAX_CLASSES + 1}"], "data.classes"),
+    "classes_1e11": (MIX_CFG, ["partition", "--set", "data.classes=100000000000",
+                               "--set", "data.n=100000000000"], "data.classes"),
+    "n": (MIX_CFG, ["partition", "--set", f"data.n={MAX_CELLS // 4 + 1}"], "data.n"),
+    "n_1e11": (MIX_CFG, ["partition", "--set", "data.n=100000000000"], "data.n"),
+    "dim": (MIX_CFG, ["partition", "--set", f"data.dim={MAX_CELLS // 120 + 1}"], "data.dim"),
+    "dim_1e11": (MIX_CFG, ["partition", "--set", "data.dim=100000000000"], "data.dim"),
+    "hidden": (MIX_CFG, ["run", "--set", f"model.hidden={MAX_WEIGHTS // 7 + 1}"], "model.hidden"),
+    "hidden_1e11": (MIX_CFG, ["run", "--set", "model.hidden=100000000000"], "model.hidden"),
+    "quad_dim": (QUAD_CFG, ["run", "--set", f"model.quad_dim={math.isqrt(MAX_QUAD_CELLS // 6) + 1}"],
+                 "model.quad_dim"),
+    "quad_dim_1e8": (QUAD_CFG, ["run", "--set", "model.quad_dim=100000000"], "model.quad_dim"),
+    "res": (MIX_CFG, ["surface", "--ckpt", "none.ckpt", "--range", "1", "--res", str(MAX_RES + 2)],
+            "--res"),
+    "res_100001": (MIX_CFG, ["surface", "--ckpt", "none.ckpt", "--range", "1", "--res", "100001"],
+                   "--res"),
+}
+
+
+class TestSizeCaps:
+    """Every size a user sets is bounded before anything of that size is made."""
+
+    @pytest.mark.parametrize("case", PAST_A_CAP)
+    def test_one_past_a_cap_exits_2_naming_it(self, tmp_path, case):
+        text, argv, named = PAST_A_CAP[case]
+        done = run_child(argv[0], "--config", write(tmp_path, "c.cfg", text),
+                         "--out", str(tmp_path / "out"), *argv[1:])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert named in done.stderr
+
+    @pytest.mark.parametrize("command", ["partition", "run"])
+    def test_a_label_past_the_class_cap_exits_2_naming_its_line(self, tmp_path, command):
+        data = tmp_path / "mix.csv"
+        data.write_text("0.0,1.0,0\n1.0,0.0,999999999999\n0.0,0.0,1\n1.0,1.0,0\n")
+        text = MIX_CFG.replace("data.kind = synthetic", f"data.kind = csv\ndata.csv_path = {data}")
+        done = run_child(command, "--config", write(tmp_path, "c.cfg", text),
+                         "--out", str(tmp_path / "out"))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(f"error: {data}:2: label out of range")
+
+    def test_a_csv_whose_model_is_past_the_weight_cap_exits_2_naming_hidden(self, tmp_path):
+        p = csv_config(tmp_path)  # 4 features, 3 classes
+        done = run_child("partition", "--config", p, "--set", f"model.hidden={MAX_WEIGHTS // 7 + 1}")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: the mlp model would have 1000006 weights")
+        assert "model.hidden" in done.stderr
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(classes=MAX_CLASSES, n_samples=MAX_CLASSES),
+            dict(n_samples=MAX_CELLS // 4, dim=4, classes=3),
+            dict(dim=5, classes=3, hidden=MAX_WEIGHTS // 8),
+            dict(model_kind="softmax", n_samples=1000, dim=10_000, classes=100),
+            dict(model_kind="quadratic", quad_dim=1000, fed=FedConfig(n_clients=10)),
+            dict(model_kind="quadratic", quad_dim=10, fed=FedConfig(n_clients=MAX_CLIENTS)),
+        ],
+        ids=["classes", "cells", "weights", "softmax_weights", "quad_cells",
+             "quad_clients"],
+    )
+    def test_a_size_at_its_cap_is_legal(self, kw):
+        ExperimentSpec(**kw).validate()  # only validated: nothing of that size is made
+
+    def test_the_finest_surface_grid_is_legal(self, tmp_path, capsys):
+        # the resolution passes, so the command goes on to the missing checkpoint
+        p = write(tmp_path, "m.cfg", MIX_CFG)
+        assert main(["surface", "--config", p, "--ckpt", str(tmp_path / "none.ckpt"),
+                     "--range", "1", "--res", str(MAX_RES), "--out", str(tmp_path)]) == 2
+        assert "none.ckpt" in capsys.readouterr().err
 
 
 class TestReadRecords:

@@ -20,6 +20,7 @@ from fnsm import (
     synth_gaussian_mixture,
     train_test_split,
 )
+from fnsm.data import MAX_CLASSES
 
 
 @st.composite
@@ -264,6 +265,11 @@ class TestCsv:
         ds = load_csv(p)
         assert ds.n == 2 and ds.dim == 2 and ds.classes == 2
 
+    def test_the_last_label_under_the_class_cap_loads(self, tmp_path):
+        p = tmp_path / "cap.csv"
+        p.write_text(f"0.0,1.0,0\n1.0,0.0,{MAX_CLASSES - 1}\n")
+        assert load_csv(p).classes == MAX_CLASSES
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
@@ -341,6 +347,8 @@ class TestCsv:
             ("0.0,1.0,-1\n", "negative"),
             ("0.0,1.0,0\n1.0,0.0,1\n\n1.0,1.0,1\n", ":3: blank line"),
             ("0.0,1.0,0\n1.0,0.0,99999999999999999999\n", ":2: label out of range"),
+            ("0.0,1.0,0\n1.0,0.0,999999999999\n0.0,0.0,1\n1.0,1.0,0\n", ":2: label out of range"),
+            (f"0.0,1.0,0\n1.0,0.0,{MAX_CLASSES}\n", f":2: label out of range: {MAX_CLASSES} is past"),
             ("0.0,1.0,0\n1.0,inf,1\n", ":2: non-finite"),
             ("0.0,1.0,0\n1.0,0.0,1\nnan,0.0,1\n", ":3: non-finite"),
             ("0.0,1.0,0\n1.0,0.0,0\n", r"bad\.csv: every label is 0"),

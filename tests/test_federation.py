@@ -373,6 +373,32 @@ class TestRoundMap:
             err = np.linalg.norm(state.theta - theta) / np.linalg.norm(theta)
             assert err <= 1e-12, (seed, err)
 
+    def test_flatness_distance_is_the_dispersion_of_the_closed_form_finals(self):
+        # with full flatness every client runs from the broadcast theta_t at an
+        # eval round, so the metric is mean_i |F_i - mean F|^2 over all clients
+        n, d, K = 8, 4, 5
+        for seed in range(1, 6):
+            rng = rng_for(seed, "round-map")
+            ens = [Quadratic(rotated_spd(rng, d), rng.standard_normal(d)) for _ in range(n)]
+            cfg = FedConfig(
+                algorithm="fedavg", n_clients=n, participation=3, rounds=60, local_steps=K,
+                lr0=0.1, lr_decay=0.99, seed=seed, eval_every=10, full_flatness=True,
+                track_sharpness=False, track_grad_norm=False,
+            )
+            after = []  # after[t] is the state that round t + 1 broadcasts
+            records, _ = run_experiment(cfg, quadratic_clients(ens), on_round=after.append)
+            evaluated = [rec for rec in records if rec.flatness_distance is not None]
+            assert [rec.round for rec in evaluated] == list(range(9, 60, 10))
+            for rec in evaluated:
+                theta, lr = after[rec.round - 1].theta, after[rec.round - 1].lr
+                finals = np.array([
+                    np.linalg.matrix_power(np.eye(d) - lr * q.A, K) @ (theta - q.c) + q.c
+                    for q in ens
+                ])
+                want = np.mean(np.sum((finals - finals.mean(axis=0)) ** 2, axis=1))
+                err = abs(rec.flatness_distance - want) / want
+                assert err <= 1e-12, (seed, rec.round, err)
+
 
 def busy_cfg(algorithm):
     """A run where every rule's knobs are on and every client runs at eval rounds."""

@@ -5,14 +5,29 @@ on the same data read from a CSV file, the ``partition`` command's
 standard output for that file, a quadratic compare at full participation
 and a loss-surface slice.
 
+The promise they pin: a seed fixes every output bit for one numpy
+build, one BLAS build and one BLAS kernel. A DYNAMIC_ARCH OpenBLAS
+picks its kernel at load time, and kernels round differently, so the
+digests name the setup they were pinned on, and a mismatch reports both
+setups.
+
 A change that claims to keep outputs bit-identical passes this test
 unchanged. A change that moves the reference on purpose updates
-``GOLDEN`` in the same diff and says how large the move is. Float
-results depend on the platform, the BLAS build and the BLAS kernel that
-build picks at load time, so the digests name the setup they were
-pinned on, and a mismatch reports both setups.
+``GOLDEN`` and ``FLOATS`` in the same diff and says how large the move is.
+
+``FLOATS`` is the kernel-independent tier: a few float results of the
+same runs (``float_values``), each output's values within a relative
+1e-12 of the pinned ones, normwise. Under another kernel
+(``OPENBLAS_CORETYPE=Haswell``, Sandybridge or Nehalem) 37 of the 41
+digests move while these values move by at most 6e-16, and the tier is
+rerun under Haswell in a child process. A relative 1e-9 change of
+``fed.lr`` moves every value by 1.2e-10 to 2.4e-9, past the tier. A
+one-ulp change of ``fed.lr`` moves 40 of the digests but these values by
+at most 6e-16, the size of kernel drift: so the digests, not the floats,
+are what catch a change that small.
+
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current
-digests and setup in ``GOLDEN``'s layout.
+digests, float values and setup in ``GOLDEN``'s and ``FLOATS``' layout.
 """
 
 import contextlib
@@ -21,13 +36,18 @@ import glob
 import hashlib
 import io
 import os
+import pathlib
 import platform
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from fnsm.cli import main
 from fnsm.data import save_csv, synth_gaussian_mixture
-from fnsm.federation import ALGORITHMS
+from fnsm.federation import ALGORITHMS, FedConfig, load_checkpoint
+from fnsm.metrics import read_surface
 
 ALGOS = ",".join(ALGORITHMS)
 
@@ -130,6 +150,47 @@ GOLDEN = {
 }
 
 
+FLOATS = {
+    "mlp/fedavg_seed3.ckpt": (3.6842091689429175, 0.0, 0.14360545821696835, -0.39707882086382706, 0.4821011148336885, -0.20495504427030242),
+    "mlp/fedavgm_seed3.ckpt": (6.884240783506023, 0.2825601436998857, 0.1988562416291469, -0.47745753633913735, 0.6808446306954344, -0.4776924331597475),
+    "mlp/fedlesam_seed3.ckpt": (3.726209282253506, 0.0, 0.14641818998790454, -0.3991477174645905, 0.4870759210754374, -0.21021760968448028),
+    "mlp/fednsam_seed3.ckpt": (6.456952660371302, 0.25546489430566127, 0.17660439386171822, -0.5135303041184233, 0.6067893243615264, -0.42930222762978315),
+    "mlp/fedsam_seed3.ckpt": (3.6882037024682144, 0.0, 0.16324048344686773, -0.4179564711034872, 0.5101958563704062, -0.23407206064167033),
+    "mlp/mofedsam_seed3.ckpt": (7.177890168735836, 0.31561857636911905, 0.21065319915362002, -0.42278305440608854, 0.9673264621612485, -0.5881196738840102),
+    "mlp/summary.csv fedavg": (0.7388888888888889, 0.0, 0.09297671488237182, 0.0, 0.031159322228932012, 0.0),
+    "mlp/summary.csv fedavgm": (0.7513888888888888, 0.0, 0.07873285329792697, 0.0, 0.028302989825338548, 0.0),
+    "mlp/summary.csv fedsam": (0.7347222222222222, 0.0, 0.1115025210352905, 0.0, 0.030805293007881856, 0.0),
+    "mlp/summary.csv mofedsam": (0.7444444444444445, 0.0, 0.07171203461671645, 0.0, 0.02689627919993151, 0.0),
+    "mlp/summary.csv fedlesam": (0.7347222222222222, 0.0, 0.09540457466305556, 0.0, 0.03129793752594828, 0.0),
+    "mlp/summary.csv fednsam": (0.7541666666666668, 0.0, 0.07408449936164646, 0.0, 0.02539891721945332, 0.0),
+    "csv/fedavg_seed3.ckpt": (3.6842091689429175, 0.0, 0.14360545821696835, -0.39707882086382706, 0.4821011148336885, -0.20495504427030242),
+    "csv/fedavgm_seed3.ckpt": (6.884240783506023, 0.2825601436998857, 0.1988562416291469, -0.47745753633913735, 0.6808446306954344, -0.4776924331597475),
+    "csv/fedlesam_seed3.ckpt": (3.726209282253506, 0.0, 0.14641818998790454, -0.3991477174645905, 0.4870759210754374, -0.21021760968448028),
+    "csv/fednsam_seed3.ckpt": (6.456952660371302, 0.25546489430566127, 0.17660439386171822, -0.5135303041184233, 0.6067893243615264, -0.42930222762978315),
+    "csv/fedsam_seed3.ckpt": (3.6882037024682144, 0.0, 0.16324048344686773, -0.4179564711034872, 0.5101958563704062, -0.23407206064167033),
+    "csv/mofedsam_seed3.ckpt": (7.177890168735836, 0.31561857636911905, 0.21065319915362002, -0.42278305440608854, 0.9673264621612485, -0.5881196738840102),
+    "csv/summary.csv fedavg": (0.7388888888888889, 0.0, 0.09297671488237182, 0.0, 0.031159322228932012, 0.0),
+    "csv/summary.csv fedavgm": (0.7513888888888888, 0.0, 0.07873285329792697, 0.0, 0.028302989825338548, 0.0),
+    "csv/summary.csv fedsam": (0.7347222222222222, 0.0, 0.1115025210352905, 0.0, 0.030805293007881856, 0.0),
+    "csv/summary.csv mofedsam": (0.7444444444444445, 0.0, 0.07171203461671645, 0.0, 0.02689627919993151, 0.0),
+    "csv/summary.csv fedlesam": (0.7347222222222222, 0.0, 0.09540457466305556, 0.0, 0.03129793752594828, 0.0),
+    "csv/summary.csv fednsam": (0.7541666666666668, 0.0, 0.07408449936164646, 0.0, 0.02539891721945332, 0.0),
+    "quad/fedavg_seed2.ckpt": (0.3206528903986749, 0.0, 0.00012741783166477646, 0.1573493628657059, 0.047689631960432084, 0.0455568519507126),
+    "quad/fedavgm_seed2.ckpt": (0.32076865368267765, 0.021313437632239203, 0.008977311335038284, 0.17730593428075808, 0.044629358510850016, 0.04579001315560922),
+    "quad/fedlesam_seed2.ckpt": (0.3157452765067617, 0.0, 0.02533502890603027, 0.1286403438278071, 0.05228049883042045, 0.05396732861656235),
+    "quad/fednsam_seed2.ckpt": (0.3575477724991363, 0.043409319862637734, 0.02687019031616502, 0.21779162518602113, 0.04878463220217908, 0.03574131797535832),
+    "quad/fedsam_seed2.ckpt": (0.31951823046105693, 0.0, 0.00012964625329597957, 0.15739003230011359, 0.048680169397428946, 0.047854460788554126),
+    "quad/mofedsam_seed2.ckpt": (0.34261693346916977, 0.08484362083399342, 0.040672251578428464, 0.23943942410945876, 0.04862216421954563, 0.03896821588247176),
+    "quad/summary.csv fedavg": (0.9021723004684098, 0.0, 0.011235447990509063, 0.0),
+    "quad/summary.csv fedavgm": (0.9009797576514723, 0.0, 0.023694167689935552, 0.0),
+    "quad/summary.csv fedsam": (0.9459170452509907, 0.0, 0.011089131931914898, 0.0),
+    "quad/summary.csv mofedsam": (0.729324919885123, 0.0, 0.03209646192356974, 0.0),
+    "quad/summary.csv fedlesam": (0.9023614089625716, 0.0, 0.011511623409596971, 0.0),
+    "quad/summary.csv fednsam": (0.9008358553644392, 0.0, 0.01458567960352113, 0.0),
+    "surface/centre": (0.42248209896915323,),
+}
+
+
 def blas_kernel() -> str:
     """The kernel numpy's OpenBLAS picked when it was loaded, or "unknown".
 
@@ -188,7 +249,8 @@ def csv_outputs(tmp_path):
     return out, stdout.getvalue()
 
 
-def outputs(tmp_path) -> dict:
+def runs(tmp_path) -> tuple[dict, str]:
+    """(each golden run's output directory by name, the partition command's stdout)."""
     mlp = cli(tmp_path, "mlp.cfg", MLP_CFG, "compare", "--algos", ALGOS)
     csv, partition = csv_outputs(tmp_path)
     quad = cli(tmp_path, "quad.cfg", QUAD_CFG, "compare", "--algos", ALGOS)
@@ -196,17 +258,54 @@ def outputs(tmp_path) -> dict:
         tmp_path, "surface.cfg", MLP_CFG, "surface", "--set", "fed.algorithm=fednsam",
         "--ckpt", str(mlp / "fednsam_seed3.ckpt"), "--range", "1.0", "--res", "9",
     )
-    return {
-        **{f"mlp/{k}": v for k, v in digests(mlp).items()},
-        **{f"csv/{k}": v for k, v in digests(csv).items()},
-        "partition/stdout": hashlib.sha256(partition.encode()).hexdigest(),
-        **{f"quad/{k}": v for k, v in digests(quad).items()},
-        **{f"surface/{k}": v for k, v in digests(surface).items()},
-    }
+    return {"mlp": mlp, "csv": csv, "quad": quad, "surface": surface}, partition
 
 
-def test_every_output_byte_matches_the_golden_digests(tmp_path):
-    got = outputs(tmp_path)
+def outputs(dirs, partition) -> dict:
+    got = {f"{name}/{k}": v for name, out in dirs.items() for k, v in digests(out).items()}
+    got["partition/stdout"] = hashlib.sha256(partition.encode()).hexdigest()
+    return got
+
+
+def float_values(dirs) -> dict:
+    """The float tier's values, by output.
+
+    Per checkpoint: the norms of theta, momentum and last_delta, then
+    theta's first three coordinates. Per row of a ``summary.csv``: every
+    value. For the surface: the loss at the grid's centre.
+    """
+    got = {}
+    for name, out in dirs.items():
+        if name == "surface":
+            values, _, res = read_surface(out / "surface.txt")
+            got["surface/centre"] = (float(values[res // 2, res // 2]),)
+            continue
+        for path in sorted(out.glob("*.ckpt")):
+            state = load_checkpoint(path, FedConfig())
+            norms = (float(np.linalg.norm(v)) for v in (state.theta, state.momentum, state.last_delta))
+            got[f"{name}/{path.name}"] = (*norms, *map(float, state.theta[:3]))
+        for line in (out / "summary.csv").read_text().splitlines()[2:]:
+            algo, *cells = line.split(",")
+            got[f"{name}/summary.csv {algo}"] = tuple(float(c) for c in cells if c)
+    return got
+
+
+def float_mismatches(got: dict, want: dict) -> list[str]:
+    """The outputs whose values are not within a relative 1e-12 of the pinned ones, normwise."""
+    return sorted(
+        k for k in want.keys() | got.keys()
+        if k not in got or k not in want or len(got[k]) != len(want[k])
+        or np.linalg.norm(np.subtract(got[k], want[k])) > 1e-12 * np.linalg.norm(want[k])
+    )
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    return runs(tmp_path_factory.mktemp("golden"))
+
+
+def test_every_output_byte_matches_the_golden_digests(golden):
+    got = outputs(*golden)
     changed = sorted(k for k in GOLDEN.keys() | got.keys() if GOLDEN.get(k) != got.get(k))
     assert not changed, (
         f"{len(changed)} of {len(GOLDEN)} outputs differ: {changed}; "
@@ -214,14 +313,40 @@ def test_every_output_byte_matches_the_golden_digests(tmp_path):
     )
 
 
+def test_float_values_match_to_a_relative_1e_12(golden):
+    changed = float_mismatches(float_values(golden[0]), FLOATS)
+    assert not changed, (
+        f"{len(changed)} of {len(FLOATS)} float outputs moved past 1e-12: {changed}; "
+        f"pinned on {PINNED_ON}, this run on {current_setup()}"
+    )
+
+
+def test_float_tier_holds_under_another_blas_kernel():
+    # the float tier in a child process whose OpenBLAS loads another kernel
+    here = pathlib.Path(__file__)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here}::test_float_values_match_to_a_relative_1e_12"],
+        capture_output=True, text=True, timeout=120, cwd=here.parents[1],
+        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+    )
+    assert done.returncode == 0, done.stdout[-3000:]
+
+
+def test_float_tier_fails_on_a_relative_1e_9_change_of_lr(tmp_path):
+    text = QUAD_CFG.replace("fed.lr = 0.2", f"fed.lr = {0.2 * (1 + 1e-9)!r}")
+    got = float_values({"quad": cli(tmp_path, "quad.cfg", text, "compare", "--algos", ALGOS)})
+    assert float_mismatches(got, {k: v for k, v in FLOATS.items() if k.startswith("quad/")}) == sorted(got)
+
+
 if __name__ == "__main__":
-    import contextlib
-    import pathlib
-    import sys
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
-        got = outputs(pathlib.Path(tmp))
-    for key, value in got.items():
-        print(f'    "{key}": "{value}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(sys.stderr):
+            dirs, partition = runs(pathlib.Path(tmp))
+        for key, value in outputs(dirs, partition).items():
+            print(f'    "{key}": "{value}",')
+        for key, values in float_values(dirs).items():
+            print(f'    "{key}": {values!r},')
     print(current_setup())

@@ -5,14 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fnsm import models
 from fnsm import (
+    Dataset,
     Mlp1,
     Quadratic,
     SoftmaxLinear,
+    accuracy,
     grad_check,
     quadratic_ensemble_minimizer,
     rng_for,
@@ -23,6 +25,48 @@ def random_batch(rng, model, n=12):
     X = rng.standard_normal((n, model.in_dim))
     y = rng.integers(0, model.classes, n)
     return X, y
+
+
+def consume(model, method, theta, X, y):
+    """``model.loss``/``model.grad`` or ``accuracy``: each reads the labels of a batch."""
+    if method == "accuracy":
+        return accuracy(model, theta, X, y)
+    return getattr(model, method)(theta, X, y)
+
+
+def refusal(call):
+    """The message of the ValueError ``call()`` raises, or None when it returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+LABEL_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+                np.uint64, np.float64, np.bool_]
+
+
+@st.composite
+def label_vectors(draw):
+    """(classes, labels): any dtype a caller may hand over, values from -3 to classes + 3."""
+    classes = draw(st.integers(2, 5))
+    dtype = np.dtype(draw(st.sampled_from(LABEL_DTYPES)))
+    if dtype.kind == "b":
+        values = st.booleans()
+    elif dtype.kind == "f":
+        values = st.integers(-3, classes + 3).map(float) | st.floats(-3, classes + 3)
+    else:
+        values = st.integers(-3 if dtype.kind == "i" else 0, classes + 3)
+    return classes, np.array(draw(st.lists(values, min_size=1, max_size=6)), dtype=dtype)
+
+
+def label_fault(classes, y):
+    """The one label rule, element by element: the message of the first fault, or None."""
+    if y.dtype.kind not in "iu":
+        return f"label {y[0]} is not an integer class index ({y.dtype} labels)"
+    bad = [v for v in y.tolist() if not 0 <= v < classes]
+    return f"label {bad[0]} is outside [0, {classes})" if bad else None
 
 
 class TestQuadratic:
@@ -104,7 +148,7 @@ class TestSoftmaxLinear:
 
 
 class TestLabelShape:
-    @pytest.mark.parametrize("method", ["loss", "grad"])
+    @pytest.mark.parametrize("method", ["loss", "grad", "accuracy"])
     @pytest.mark.parametrize("shape", [(5, 1), (4,), (6,)], ids=["column", "shorter", "longer"])
     @pytest.mark.parametrize("model", [SoftmaxLinear(3, 4), Mlp1(4, 5, 3)], ids=["softmax", "mlp"])
     def test_rejects_labels_not_one_per_row(self, model, shape, method):
@@ -113,11 +157,11 @@ class TestLabelShape:
         y = rng.integers(0, 3, shape)
         want = re.escape(f"labels have shape {shape}, expected (5,) for features of shape (5, 4)")
         with pytest.raises(ValueError, match=want):
-            getattr(model, method)(model.init_params(rng), X, y)
+            consume(model, method, model.init_params(rng), X, y)
 
 
 class TestLabelValues:
-    @pytest.mark.parametrize("method", ["loss", "grad"])
+    @pytest.mark.parametrize("method", ["loss", "grad", "accuracy"])
     @pytest.mark.parametrize(
         "y, want",
         [
@@ -133,7 +177,56 @@ class TestLabelValues:
     def test_bad_label_raises_naming_it(self, model, y, want, method):
         theta = model.init_params(np.random.default_rng(0))
         with pytest.raises(ValueError, match=re.escape(want)):
-            getattr(model, method)(theta, np.ones((2, 3)), y)
+            consume(model, method, theta, np.ones((2, 3)), y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=label_vectors())
+    @example(case=(2, np.array([0.0, 1.5, 1.9])))
+    @example(case=(2, np.array([True, False])))
+    @example(case=(3, np.array([0, -1])))
+    @example(case=(3, np.array([0, 3])))
+    @example(case=(3, np.array([0.0, 1.5])))
+    @example(case=(5, np.array([4, 5, 2**64 - 1], dtype=np.uint64)))
+    def test_every_reader_refuses_the_same_labels_with_the_same_message(self, case):
+        classes, y = case
+        X = np.ones((len(y), 3))
+        mlp, softmax = Mlp1(3, 4, classes), SoftmaxLinear(classes, 3)
+        theta, w = mlp.init_params(rng_for(1, "labels")), softmax.init_params(rng_for(2, "labels"))
+        got = {
+            "Dataset": refusal(lambda: Dataset(X, y, classes)),
+            "Mlp1.loss": refusal(lambda: mlp.loss(theta, X, y)),
+            "Mlp1.grad": refusal(lambda: mlp.grad(theta, X, y)),
+            "SoftmaxLinear.grad": refusal(lambda: softmax.grad(w, X, y)),
+            "accuracy": refusal(lambda: accuracy(mlp, theta, X, y)),
+        }
+        want = label_fault(classes, y)
+        assert got == dict.fromkeys(got, want)
+        if want is None:
+            assert Dataset(X, y, classes).labels.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "call, want",
+        [
+            (lambda: Dataset(np.ones((3, 2)), [0.0, 1.5, 1.9], 2),
+             "label 0.0 is not an integer class index (float64 labels)"),
+            (lambda: Dataset(np.ones((2, 2)), [True, False], 2),
+             "label True is not an integer class index (bool labels)"),
+            (lambda: accuracy(Mlp1(3, 4, 3), np.zeros(31), np.ones((2, 3)), [0]),
+             "labels have shape (1,), expected (2,) for features of shape (2, 3)"),
+            (lambda: accuracy(Mlp1(3, 4, 3), np.zeros(31), np.ones((2, 3)), [0, -1]),
+             "label -1 is outside [0, 3)"),
+            (lambda: accuracy(Mlp1(3, 4, 3), np.zeros(31), np.ones((2, 3)), [0, 3]),
+             "label 3 is outside [0, 3)"),
+            (lambda: accuracy(Mlp1(3, 4, 3), np.zeros(31), np.ones((2, 3)), [0.0, 1.5]),
+             "label 0.0 is not an integer class index (float64 labels)"),
+        ],
+        ids=["dataset_float", "dataset_bool", "accuracy_one_label", "accuracy_negative",
+             "accuracy_past_last_class", "accuracy_float"],
+    )
+    def test_labels_once_truncated_or_ignored_now_raise(self, call, want):
+        # Dataset used to cast these to [0, 1, 1] and [1, 0]; accuracy returned 0.0 for each
+        with pytest.raises(ValueError, match=re.escape(want)):
+            call()
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
     def test_every_integer_dtype_gives_the_int64_result(self, dtype):
