@@ -55,6 +55,21 @@ MAX_WEIGHTS = 10**6
 # quad_dim 3162 takes 1.0 s and 283 MB, and of MAX_CLIENTS clients at
 # quad_dim 10 it takes 5.5 s and 205 MB.
 MAX_QUAD_CELLS = 10**7
+# The most cells of the clients-by-classes table, fed.n_clients * classes:
+# the partition draws one proportion per client for each class, and
+# ``fnsm partition`` prints one count per cell. At this size it takes
+# 1.1 s and 43 MB with up to 10 000 clients, and 1.9 s and 96 MB with
+# MAX_CLIENTS; a one-round ``fnsm run`` of 100 clients and 10 000 classes
+# takes 2.3 s and 204 MB. At ten times it, ``fnsm partition`` printed
+# 69 MB in 9.3 s.
+MAX_CLIENT_CLASSES = 10**6
+# The most weights an evaluation round with full flatness holds at once,
+# fed.n_clients * the classifier's weights: every client's final local
+# model is kept for the dispersion. A one-round, evaluated ``fnsm run`` at
+# this size takes 1.8 s and 324 MB with 10 clients of 10**6 weights, and
+# 1.0 s and 155 MB with 1000 clients of 10**4. A quadratic ensemble holds
+# fed.n_clients * model.quad_dim weights, bounded by MAX_QUAD_CELLS.
+MAX_HELD_WEIGHTS = 10**7
 
 
 class ConfigError(ValueError):
@@ -114,7 +129,7 @@ class ExperimentSpec:
             if self.hidden < 1:
                 raise ConfigError("model.hidden must be >= 1")
             if self.data_kind == "synthetic":  # a CSV's sizes are checked once it is read
-                self._check_weights(self.dim, self.classes)
+                self._check_sizes(self.dim, self.classes)
         elif self.quad_dim < 1:
             raise ConfigError("model.quad_dim must be >= 1")
         elif self.fed.n_clients * self.quad_dim**2 > MAX_QUAD_CELLS:
@@ -129,8 +144,16 @@ class ExperimentSpec:
         if self.checkpoint_every < 0:
             raise ConfigError("run.checkpoint_every must be >= 0")
 
-    def _check_weights(self, dim: int, classes: int) -> None:
-        """Raise ConfigError when the classifier for this data would pass MAX_WEIGHTS."""
+    def _check_sizes(self, dim: int, classes: int) -> None:
+        """Raise ConfigError when data of this size would pass MAX_CLIENT_CLASSES, or
+        give a classifier past MAX_WEIGHTS or a round past MAX_HELD_WEIGHTS."""
+        fed = self.fed
+        if fed.n_clients * classes > MAX_CLIENT_CLASSES:
+            named = "data.classes" if self.data_kind == "synthetic" else "data.csv_path's classes"
+            raise ConfigError(
+                f"fed.n_clients * {named} = {fed.n_clients} * {classes} "
+                f"must be <= {MAX_CLIENT_CLASSES}"
+            )
         if self.model_kind == "mlp":
             weights, sizes = self.hidden * (dim + classes), f"model.hidden = {self.hidden}, "
         else:
@@ -140,14 +163,16 @@ class ExperimentSpec:
                 f"the {self.model_kind} model would have {weights} weights ({sizes}{dim} "
                 f"features, {classes} classes); at most {MAX_WEIGHTS}"
             )
+        if fed.full_flatness and fed.track_flatness and fed.n_clients * weights > MAX_HELD_WEIGHTS:
+            raise ConfigError(
+                f"fed.n_clients * model weights = {fed.n_clients} * {weights} must be <= "
+                f"{MAX_HELD_WEIGHTS} when metrics.full_flatness and metrics.flatness are on"
+            )
 
     def resolved_lines(self) -> list[str]:
         """Canonical `key = value` dump of every hashed setting, sorted by key."""
-        return [
-            f"{key} = {_fmt(_get(self, attr))}"
-            for key, (attr, hashed) in sorted(_KEYS.items())
-            if hashed
-        ]
+        return [f"{key} = {_KEY_TYPES[key][1](_get(self, attr))}"
+                for key, (attr, hashed) in sorted(_KEYS.items()) if hashed]
 
     def config_hash(self) -> str:
         text = "\n".join(self.resolved_lines()) + "\n"
@@ -161,8 +186,8 @@ class ExperimentSpec:
 
 
 # key -> (attribute, hashed); "fed.x" names FedConfig.x. The key is read
-# by the type of the attribute's default; mark it unhashed only when it
-# cannot change any result.
+# and written by the type of the attribute's default (`_TYPES`); mark it
+# unhashed only when it cannot change any result.
 _KEYS = {
     "data.kind": ("data_kind", True),
     "data.classes": ("classes", True),
@@ -215,16 +240,6 @@ def _get(spec: ExperimentSpec, attr: str):
     return getattr(spec.fed if owner else spec, name)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, tuple):
-        return ",".join(str(s) for s in v)
-    return str(v)
-
-
 def _read_bool(raw: str) -> bool:
     if raw.lower() in ("true", "1", "yes", "on"):
         return True
@@ -247,22 +262,26 @@ def _read_seeds(raw: str) -> tuple[int, ...]:
     return seeds
 
 
-# type of a key's default -> (reader, what a value the reader rejects should be)
-_READERS = {
-    bool: (_read_bool, "a boolean"),
-    int: (int, "an integer"),
-    float: (_read_float, "a finite number"),
-    str: (str, "text"),
-    tuple: (_read_seeds, "distinct comma-separated integers"),
+# type of a key's default -> (reader, writer, what a value the reader rejects
+# should be). A value is written by its key's type, not by its own, so an
+# np.float64, an int for a bool or a list of seeds dumps as the value it is.
+_TYPES = {
+    bool: (_read_bool, lambda v: "true" if v else "false", "a boolean"),
+    int: (int, lambda v: str(int(v)), "an integer"),
+    float: (_read_float, lambda v: repr(float(v)), "a finite number"),
+    str: (str, str, "text"),
+    tuple: (_read_seeds, lambda v: ",".join(str(int(s)) for s in v),
+            "distinct comma-separated integers"),
 }
 _DEFAULTS = ExperimentSpec()
+_KEY_TYPES = {key: _TYPES[type(_get(_DEFAULTS, attr))] for key, (attr, _) in _KEYS.items()}
 
 
 def _assign(spec_kw: dict, fed_kw: dict, key: str, raw: str, where: str) -> None:
     if key not in _KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     attr, _ = _KEYS[key]
-    read, expected = _READERS[type(_get(_DEFAULTS, attr))]
+    read, _, expected = _KEY_TYPES[key]
     try:
         value = read(raw)
     except ValueError:
@@ -312,13 +331,13 @@ def read_dataset(spec: ExperimentSpec) -> Dataset | None:
 
     Returns None when there is no file to share: the data is generated
     per seed, or the model is a quadratic that needs no data. Raises
-    ConfigError when the file's features and classes would give the
-    model more than MAX_WEIGHTS weights.
+    ConfigError when the file's features and classes pass a size cap
+    (``ExperimentSpec._check_sizes``).
     """
     if spec.model_kind == "quadratic" or spec.data_kind != "csv":
         return None
     ds = load_csv(spec.csv_path)
-    spec._check_weights(ds.dim, ds.classes)
+    spec._check_sizes(ds.dim, ds.classes)
     return ds
 
 

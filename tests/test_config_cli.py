@@ -6,7 +6,7 @@ import pathlib
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,8 @@ import fnsm.config
 from fnsm.cli import MAX_RES, main, read_records
 from fnsm.config import (
     DATA_KINDS,
+    MAX_CLIENT_CLASSES,
+    MAX_HELD_WEIGHTS,
     MAX_QUAD_CELLS,
     MAX_WEIGHTS,
     MODEL_KINDS,
@@ -91,9 +93,35 @@ def finite(lo, hi=1e6, **kw):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
 
 
+# text a `key = value` line carries as it is: no comment sign, nothing
+# str.splitlines breaks a line at, nothing strip() removes at either end
+TEXT = st.text(
+    st.characters(codec="utf-8", exclude_categories=("Cc", "Zl", "Zp"), exclude_characters="#")
+).map(str.strip)
+
+# every value a key of each type can take, by the type of the key's default
+TYPE_VALUES = {
+    bool: st.booleans(),
+    int: st.integers(-(2**63), 2**63 - 1),  # what OTHER_TYPE's np.int64 holds
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: TEXT,
+    tuple: st.lists(st.integers(), unique=True).map(tuple),
+}
+
+# another Python type for each default's type, holding the same value
+OTHER_TYPE = {bool: int, int: np.int64, float: np.float64, str: np.str_, tuple: list}
+
+
+def retyped(obj):
+    """``obj`` with every setting held in its OTHER_TYPE, ``fed`` included."""
+    kw = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return replace(obj, **{k: retyped(v) if k == "fed" else OTHER_TYPE[type(v)](v)
+                           for k, v in kw.items()})
+
+
 @st.composite
 def specs(draw):
-    """Valid specs; out_dir and checkpoint_every stay default, being undumped."""
+    """Valid specs; checkpoint_every stays default, being undumped."""
     n_clients = draw(st.integers(1, 50))
     classes = draw(st.integers(2, 20))
     fed = FedConfig(
@@ -117,9 +145,7 @@ def specs(draw):
         track_wall_time=draw(st.booleans()),
     )
     data_kind = draw(st.sampled_from(DATA_KINDS))
-    # no comment sign and nothing str.splitlines breaks a line at
-    path = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Zl", "Zp"),
-                                 exclude_characters="#"), min_size=1)
+    path = TEXT.filter(bool)
     dim = draw(st.integers(1, 1000))
     return ExperimentSpec(
         fed=fed,
@@ -128,13 +154,14 @@ def specs(draw):
         dim=dim,
         n_samples=draw(st.integers(classes, min(10**6, MAX_CELLS // dim))),
         spread=draw(finite(0.0, exclude_min=True)),
-        csv_path=draw(path.map(str.strip).filter(bool)) if data_kind == "csv" else "",
+        csv_path=draw(path) if data_kind == "csv" else "",
         alpha=draw(finite(0.0, exclude_min=True)),
         test_fraction=draw(finite(0.0, 1.0, exclude_min=True, exclude_max=True)),
         model_kind=draw(st.sampled_from(MODEL_KINDS)),
         hidden=draw(st.integers(1, 512)),
         quad_dim=draw(st.integers(1, 100)),
         seeds=tuple(draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=4, unique=True))),
+        out_dir=draw(path),
     )
 
 
@@ -241,10 +268,39 @@ class TestParsing:
     @given(spec=specs())
     def test_resolved_lines_roundtrip_property(self, tmp_path, spec):
         spec.validate()
-        p = write(tmp_path, "dump.cfg", "\n".join(spec.resolved_lines()) + "\n")
-        back = parse_config(p)
+        dump = [*spec.resolved_lines(), f"run.out = {spec.out_dir}"]
+        back = parse_config(write(tmp_path, "dump.cfg", "\n".join(dump) + "\n"))
         assert back == spec
         assert back.config_hash() == spec.config_hash()
+        assert retyped(spec).resolved_lines() == spec.resolved_lines()
+
+    @pytest.mark.parametrize("key", sorted(fnsm.config._KEYS))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_each_key_reads_back_what_its_writer_wrote(self, key, data):
+        kind = type(fnsm.config._get(ExperimentSpec(), fnsm.config._KEYS[key][0]))
+        read, write_value, _ = fnsm.config._KEY_TYPES[key]
+        value = data.draw(TYPE_VALUES[kind])
+        text = write_value(value)
+        assert text == text.strip() and "#" not in text and len(text.splitlines()) <= 1
+        assert write_value(OTHER_TYPE[kind](value)) == text
+        back = read(text)
+        assert type(back) is kind and back == value
+
+    @pytest.mark.parametrize("kw", [
+        dict(alpha=np.float64(0.1)),
+        dict(fed=FedConfig(extrapolate=1)),
+        dict(seeds=[1]),
+        dict(seeds=(np.int64(1),)),
+        dict(classes=np.int64(10), fed=FedConfig(n_clients=np.int64(20))),
+        dict(spread=1),
+        dict(fed=FedConfig(track_wall_time=np.False_, full_flatness=0)),
+    ], ids=["np_float64", "int_for_bool", "list_seeds", "np_int64_seeds", "np_int64",
+            "int_for_float", "np_bool_and_int_for_bool"])
+    def test_a_value_dumps_and_hashes_as_itself_whatever_its_type(self, kw):
+        spec, default = ExperimentSpec(**kw), ExperimentSpec()
+        assert spec.resolved_lines() == default.resolved_lines()
+        assert spec.config_hash() == default.config_hash() == PINNED_HASHES[2][1]
 
 
 DIVERGING_CFG = """\
@@ -613,7 +669,8 @@ class TestCmdSurface:
                              ids=["theta_nan", "momentum_inf", "last_delta_-inf"])
     def test_non_finite_checkpoint_exits_2_naming_it(self, tmp_path, capsys, vector, value):
         cfg, ckpt, out = self.setup_ckpt(tmp_path)
-        blob = bytearray(open(ckpt, "rb").read())
+        with open(ckpt, "rb") as f:
+            blob = bytearray(f.read())
         (d,) = struct.unpack_from("<Q", blob, 12)
         struct.pack_into("<d", blob, 20 + 8 * d * vector + 8, float(value))
         bad = tmp_path / "bad.ckpt"
@@ -762,6 +819,39 @@ class TestSizeCaps:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith(f"error: {data}:2: label out of range")
 
+    @pytest.mark.parametrize("sets, named", [
+        # 101 clients * 9901 classes = MAX_CLIENT_CLASSES + 1
+        (["fed.n_clients=101", "data.classes=9901", "data.n=9901"],
+         ("fed.n_clients", "data.classes")),
+        # 11 clients of a one-unit mlp on 909088 features and 3 classes, 909091 weights
+        # each: 11 * 909091 = MAX_HELD_WEIGHTS + 1
+        (["fed.n_clients=11", "model.hidden=1", "data.dim=909088", "data.n=10",
+          "metrics.full_flatness=true"], ("fed.n_clients", "metrics.full_flatness")),
+    ], ids=["client_classes", "held_weights"])
+    def test_one_past_a_product_cap_exits_2_naming_both_keys(self, tmp_path, sets, named):
+        assert (101 * 9901, 11 * 909091) == (MAX_CLIENT_CLASSES + 1, MAX_HELD_WEIGHTS + 1)
+        done = run_child("run", "--config", write(tmp_path, "c.cfg", MIX_CFG),
+                         "--out", str(tmp_path / "out"), *(a for kv in sets for a in ("--set", kv)))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert all(key in done.stderr for key in named)
+
+    @pytest.mark.parametrize("classes, sets, named", [
+        # 101 clients * 9901 classes = MAX_CLIENT_CLASSES + 1
+        (9901, ["fed.n_clients=101"], ("fed.n_clients", "data.csv_path")),
+        # 4 features and 3 classes: 11 clients of 7 * 129871 weights
+        (3, ["fed.n_clients=11", "model.hidden=129871", "metrics.full_flatness=true"],
+         ("fed.n_clients", "metrics.full_flatness")),
+    ], ids=["client_classes", "held_weights"])
+    def test_a_csv_past_a_product_cap_exits_2_naming_both_keys(self, tmp_path, classes, sets,
+                                                                named):
+        ds = Dataset(np.zeros((2, 4)), np.array([0, classes - 1]), classes)
+        done = run_child("run", "--config", csv_config(tmp_path, ds),
+                         "--out", str(tmp_path / "out"), *(a for kv in sets for a in ("--set", kv)))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert all(key in done.stderr for key in named)
+
     def test_a_csv_whose_model_is_past_the_weight_cap_exits_2_naming_hidden(self, tmp_path):
         p = csv_config(tmp_path)  # 4 features, 3 classes
         done = run_child("partition", "--config", p, "--set", f"model.hidden={MAX_WEIGHTS // 7 + 1}")
@@ -778,9 +868,22 @@ class TestSizeCaps:
             dict(model_kind="softmax", n_samples=1000, dim=10_000, classes=100),
             dict(model_kind="quadratic", quad_dim=1000, fed=FedConfig(n_clients=10)),
             dict(model_kind="quadratic", quad_dim=10, fed=FedConfig(n_clients=MAX_CLIENTS)),
+            dict(classes=MAX_CLASSES, n_samples=MAX_CLASSES,
+                 fed=FedConfig(n_clients=MAX_CLIENT_CLASSES // MAX_CLASSES)),
+            dict(classes=MAX_CLIENT_CLASSES // MAX_CLIENTS, fed=FedConfig(n_clients=MAX_CLIENTS)),
+            dict(dim=97, classes=3, n_samples=1000, hidden=MAX_WEIGHTS // 100,
+                 fed=FedConfig(n_clients=MAX_HELD_WEIGHTS // MAX_WEIGHTS, full_flatness=True)),
+            dict(model_kind="softmax", dim=100, classes=100, n_samples=1000,
+                 fed=FedConfig(n_clients=MAX_HELD_WEIGHTS // 10**4, full_flatness=True)),
+            # past MAX_HELD_WEIGHTS, but no round holds every client's model
+            dict(dim=909088, classes=3, n_samples=10, hidden=1, fed=FedConfig(n_clients=11)),
+            dict(dim=909088, classes=3, n_samples=10, hidden=1,
+                 fed=FedConfig(n_clients=11, full_flatness=True, track_flatness=False)),
         ],
         ids=["classes", "cells", "weights", "softmax_weights", "quad_cells",
-             "quad_clients"],
+             "quad_clients", "client_classes", "client_classes_max_clients", "held_weights",
+             "held_softmax_weights", "held_weights_full_flatness_off",
+             "held_weights_flatness_off"],
     )
     def test_a_size_at_its_cap_is_legal(self, kw):
         ExperimentSpec(**kw).validate()  # only validated: nothing of that size is made
