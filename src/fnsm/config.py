@@ -13,6 +13,7 @@ the hash and the command-line flags all read it.
 """
 
 import hashlib
+import operator
 import re
 from dataclasses import dataclass, field, replace
 
@@ -264,13 +265,15 @@ def _read_seeds(raw: str) -> tuple[int, ...]:
 
 # type of a key's default -> (reader, writer, what a value the reader rejects
 # should be). A value is written by its key's type, not by its own, so an
-# np.float64, an int for a bool or a list of seeds dumps as the value it is.
+# np.float64, an int for a bool or a list of seeds dumps as the value it is;
+# an int is written through operator.index, so a non-integral value raises
+# TypeError instead of dumping, and hashing, as another value.
 _TYPES = {
     bool: (_read_bool, lambda v: "true" if v else "false", "a boolean"),
-    int: (int, lambda v: str(int(v)), "an integer"),
+    int: (int, lambda v: str(operator.index(v)), "an integer"),
     float: (_read_float, lambda v: repr(float(v)), "a finite number"),
     str: (str, str, "text"),
-    tuple: (_read_seeds, lambda v: ",".join(str(int(s)) for s in v),
+    tuple: (_read_seeds, lambda v: ",".join(str(operator.index(s)) for s in v),
             "distinct comma-separated integers"),
 }
 _DEFAULTS = ExperimentSpec()
